@@ -1,8 +1,10 @@
 //! Disk saboteurs for the persisted artifact cache: deterministic,
-//! seed-driven corruption of `artifacts.json` (static lane) or
-//! `dyn_artifacts.json` (dynamic lane), modelling the ways a cache file
-//! actually goes bad in the field (crash mid-write, bit rot, version
-//! skew, tampering).
+//! seed-driven corruption of any of the store's three lane files —
+//! `artifacts.json` (static), `dyn_artifacts.json` (dynamic) or
+//! `sig_index.json` (signature), which share one document shape
+//! (`{schema, entries: {hex: {checksum, value}}}`) — modelling the ways a
+//! cache file actually goes bad in the field (crash mid-write, bit rot,
+//! version skew, tampering).
 
 use crate::plan::FaultPlan;
 use std::io;
@@ -43,14 +45,17 @@ pub enum CacheLane {
     Static,
     /// `dyn_artifacts.json` — environment sets and dynamic profiles.
     Dynamic,
+    /// `sig_index.json` — retrieval signatures.
+    Signature,
 }
 
 impl CacheLane {
     /// On-disk file name of the lane's document.
     pub fn file_name(self) -> &'static str {
         match self {
-            CacheLane::Static => "artifacts.json",
+            CacheLane::Static => patchecko_scanhub::CACHE_FILE,
             CacheLane::Dynamic => patchecko_scanhub::DYN_CACHE_FILE,
+            CacheLane::Signature => patchecko_scanhub::SIG_INDEX_FILE,
         }
     }
 }

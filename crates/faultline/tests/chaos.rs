@@ -5,9 +5,9 @@
 //!
 //! 1. **No panic escapes the scheduler** — worker deaths, including raw
 //!    panics, are contained, classified, and retried.
-//! 2. **The cache never serves corrupt features** — whatever happens to
-//!    the on-disk layer, a reloaded store's answers are bit-identical to
-//!    fresh extraction.
+//! 2. **The cache never serves corrupt features or signatures** —
+//!    whatever happens to the on-disk layer, a reloaded store's answers are
+//!    bit-identical to fresh extraction.
 //! 3. **Transient faults leave no trace** — a faulty run whose injected
 //!    faults were retried away produces bitwise-identical outcomes to a
 //!    clean run.
@@ -144,6 +144,14 @@ fn feature_bits(source: &impl FeatureSource, bin: &fwbin::format::Binary) -> Vec
         .collect()
 }
 
+/// Retrieval signatures of every function of `bin`, served by `source`.
+fn signatures(
+    source: &impl FeatureSource,
+    bin: &fwbin::format::Binary,
+) -> Vec<patchecko_core::retrieval::FunctionSignature> {
+    source.signatures_all(bin, &source.features_all(bin).unwrap())
+}
+
 /// A fast fuzzer config for the dynamic-lane properties: same determinism
 /// guarantees as the default, a fraction of the executions.
 fn small_fuzz() -> vm::FuzzConfig {
@@ -259,15 +267,16 @@ proptest! {
 proptest! {
     #![proptest_config(cases(16))]
 
-    /// Invariant 2: whatever the saboteur does to the on-disk cache —
-    /// garbage, truncation, stale schema, checksum tampering — a reloaded
-    /// store quarantines the damage and serves features bit-identical to
-    /// fresh extraction.
+    /// Invariant 2: whatever the saboteur does to the static or the
+    /// signature lane's file — garbage, truncation, stale schema, checksum
+    /// tampering — a reloaded store quarantines the damage and serves
+    /// features and retrieval signatures bit-identical to fresh derivation.
     #[test]
     fn cache_never_serves_corruption(seed in seeds()) {
         let plan = FaultPlan::new(seed);
         let fault = DiskFault::chosen(&plan, seed);
-        log_case("cache_corruption", &format!("seed {seed}: {fault:?}"));
+        let lane = [CacheLane::Static, CacheLane::Signature][plan.pick("disk.lane", seed, 2)];
+        log_case("cache_corruption", &format!("seed {seed}: {fault:?} on {lane:?} lane"));
         let dir = std::env::temp_dir()
             .join(format!("faultline-disk-{}-{seed}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
@@ -275,16 +284,25 @@ proptest! {
         let bin = compile(seed);
         let store = ArtifactStore::new();
         let fresh = feature_bits(&DirectExtraction, &bin);
+        let fresh_sigs = signatures(&DirectExtraction, &bin);
         prop_assert_eq!(&feature_bits(&store, &bin), &fresh);
+        prop_assert_eq!(&signatures(&store, &bin), &fresh_sigs);
         store.save(&dir).unwrap();
 
-        let what = disk::sabotage(&dir, fault, &plan).unwrap();
+        let what = disk::sabotage_lane(&dir, lane, fault, &plan).unwrap();
         let reloaded = ArtifactStore::load(&dir).unwrap();
-        prop_assert!(reloaded.stats().quarantined >= 1,
-            "sabotage ({what}) must be noticed and quarantined");
+        let stats = reloaded.stats();
+        let quarantined = match lane {
+            CacheLane::Signature => stats.sig_quarantined,
+            _ => stats.quarantined,
+        };
+        prop_assert!(quarantined >= 1,
+            "sabotage ({what}) of the {lane:?} lane must be noticed and quarantined");
         prop_assert!(!reloaded.quarantine_records().is_empty());
         prop_assert_eq!(&feature_bits(&reloaded, &bin), &fresh,
             "a sabotaged cache ({what}) must re-extract, bit-identical to fresh");
+        prop_assert_eq!(&signatures(&reloaded, &bin), &fresh_sigs,
+            "a sabotaged cache ({what}) must re-derive signatures, bit-identical to fresh");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

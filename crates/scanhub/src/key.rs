@@ -27,7 +27,7 @@ use vm::fuzz::FuzzConfig;
 /// (`crate::store`), so v1 caches are discarded on load.
 ///
 /// v3: the store grows a dynamic lane (`dyn_artifacts.json` — cached
-/// environment sets and dynamic profiles, see `crate::dynstore`); v2
+/// environment sets and dynamic profiles, see `crate::store`); v2
 /// static caches are discarded on load rather than mixed with
 /// dynamic-lane entries keyed under a different version.
 ///
@@ -39,7 +39,12 @@ use vm::fuzz::FuzzConfig;
 /// entries would replay the old semantics; discard them. (The engine
 /// choice itself is deliberately NOT keyed: both engines produce
 /// bitwise-identical profiles.)
-pub const SCHEMA_VERSION: u32 = 4;
+///
+/// v5: all three cache files share one document shape
+/// (`{schema, entries: {hex: {checksum, value}}}`, see `crate::lane`), and
+/// the dynamic file holds env sets and profiles in one map of tagged
+/// entries. v4 documents are discarded on load as stale.
+pub const SCHEMA_VERSION: u32 = 5;
 
 /// A 128-bit content hash naming one function's cached artifacts.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -175,9 +180,11 @@ impl ArtifactKey {
         format!("{:016x}{:016x}", self.hi, self.lo)
     }
 
-    /// Parse [`ArtifactKey::to_hex`] output.
+    /// Parse [`ArtifactKey::to_hex`] output: exactly 32 ASCII hex digits
+    /// (anything else — a sign, whitespace, a multi-byte character — is
+    /// `None`, never a panic, since cache-file keys are untrusted).
     pub fn from_hex(s: &str) -> Option<ArtifactKey> {
-        if s.len() != 32 {
+        if s.len() != 32 || !s.bytes().all(|b| b.is_ascii_hexdigit()) {
             return None;
         }
         let hi = u64::from_str_radix(&s[..16], 16).ok()?;
@@ -287,5 +294,17 @@ mod tests {
         assert_eq!(ArtifactKey::from_hex(&k.to_hex()), Some(k));
         assert_eq!(ArtifactKey::from_hex("nope"), None);
         assert_eq!(ArtifactKey::from_hex(&"0".repeat(31)), None);
+    }
+
+    #[test]
+    fn from_hex_rejects_non_hex_bytes_without_panicking() {
+        // 32 bytes, but byte 16 falls inside the two-byte 'é'.
+        let split_char = format!("{}é{}", "0".repeat(15), "0".repeat(15));
+        assert_eq!(split_char.len(), 32);
+        assert_eq!(ArtifactKey::from_hex(&split_char), None);
+        // `from_str_radix` would accept a leading sign on either half.
+        assert_eq!(ArtifactKey::from_hex(&format!("+{}", "0".repeat(31))), None);
+        assert_eq!(ArtifactKey::from_hex(&format!("{}+{}", "0".repeat(16), "0".repeat(15))), None);
+        assert_eq!(ArtifactKey::from_hex(&format!("{} ", "0".repeat(31))), None);
     }
 }

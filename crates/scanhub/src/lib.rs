@@ -10,18 +10,16 @@
 //! * [`key`] — content-addressed [`ArtifactKey`]s: a stable 128-bit hash
 //!   of a function's code bytes, architecture, extractor-relevant record
 //!   metadata, and the feature-schema version;
-//! * [`store`] — the sharded [`ArtifactStore`] caching
-//!   [`StaticFeatures`](patchecko_core::features::StaticFeatures) +
-//!   [`CfgSummary`](disasm::CfgSummary) per key, with hit/miss/extraction
-//!   counters and an on-disk JSON layer;
-//! * [`dynstore`] — the store's dynamic lane: cached execution-environment
-//!   sets and per-function dynamic profiles, so a warm re-audit performs
-//!   zero VM executions (the store implements
-//!   [`DynProfileSource`](patchecko_core::dynsource::DynProfileSource));
-//! * [`index`] — the store's signature lane: persistent per-function
-//!   retrieval signatures behind the sub-linear candidate pre-filter
-//!   (`--retrieval topk`), populated incrementally as binaries are
-//!   scanned;
+//! * `lane` — one generic persistent cache lane (`Lane<V>` over any
+//!   checksummed value): a sharded map with hit/miss/quarantine
+//!   counters, single-flight compute, and one hardened JSON file
+//!   (temp-file + rename saves, quarantine-on-load);
+//! * [`store`] — the [`ArtifactStore`]: three lanes behind the pipeline's
+//!   seams — static [`Artifact`]s (Table-I features + CFG summary,
+//!   `artifacts.json`), dynamic entries (environment sets and
+//!   per-function profiles, `dyn_artifacts.json`, so a warm re-audit
+//!   performs zero VM executions), and retrieval signatures behind the
+//!   top-K candidate pre-filter (`sig_index.json`);
 //! * [`namespace`] — per-tenant [`TenantView`]s over one shared store:
 //!   content keys are relocated by a tenant salt so co-resident tenants
 //!   (the scan daemon's clients) never observe each other's artifacts;
@@ -58,22 +56,19 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod dynstore;
 pub mod hub;
-pub mod index;
 pub mod key;
+mod lane;
 pub mod namespace;
 pub mod schedule;
 pub mod store;
 #[cfg(test)]
 pub(crate) mod testfix;
 
-pub use dynstore::{env_set_checksum, profile_checksum, DYN_CACHE_FILE};
 pub use hub::{BatchReport, ScanHub};
-pub use index::{signature_checksum, SignatureIndex, SIG_INDEX_FILE};
 pub use key::{tenant_salt, ArtifactKey, SCHEMA_VERSION};
 pub use namespace::TenantView;
 pub use schedule::{
     full_schedule, run_jobs, run_jobs_with, FaultHook, JobOutcome, JobRecord, JobSpec, RetryPolicy,
 };
-pub use store::{artifact_checksum, Artifact, ArtifactStore, CacheStats};
+pub use store::{Artifact, ArtifactStore, CacheStats, CACHE_FILE, DYN_CACHE_FILE, SIG_INDEX_FILE};

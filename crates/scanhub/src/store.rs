@@ -1,51 +1,28 @@
-//! The content-addressed artifact store: a sharded in-memory map in front
-//! of an optional on-disk layer.
+//! The content-addressed artifact store: three persistent cache lanes
+//! (see `crate::lane`) behind the pipeline's [`FeatureSource`] and
+//! [`DynProfileSource`] seams.
 //!
-//! Each entry holds the per-function artifacts the static stage would
-//! otherwise re-derive on every scan — the Table-I feature vector and the
-//! condensed CFG — keyed by [`ArtifactKey`]. Lookups are sharded across
-//! independent `parking_lot` mutexes so scheduler workers rarely contend,
-//! and the hit/miss/extraction counters make cache behaviour observable
-//! (the `--cache-stats` CLI flag and the warm-re-audit acceptance test
-//! both read them).
+//! * **static** ([`CACHE_FILE`], `cache.*`) — [`Artifact`]s: the Table-I
+//!   feature vector and condensed CFG of each function;
+//! * **dynamic** ([`DYN_CACHE_FILE`], `dyncache.*`) — `DynEntry`s:
+//!   environment sets and dynamic profiles (Table VII's dominant cost), so
+//!   a warm re-audit performs zero VM executions. Their keys are
+//!   domain-separated, so both kinds share one map;
+//! * **signature** ([`SIG_INDEX_FILE`], `index.*`) — the retrieval
+//!   signature behind the top-K pre-filter, derived from the features
+//!   under the same key.
 //!
-//! ## Disk-layer hardening
-//!
-//! The on-disk layer trusts nothing it reads back. Every persisted entry
-//! carries a structural checksum over the feature bits and CFG summary;
-//! on load, entries whose checksum or key fails to validate are
-//! **quarantined** — evicted and recorded, never served — and the scan
-//! falls back to re-extraction. Unparseable or truncated cache files are
-//! quarantined whole (renamed aside, so the next save starts clean), and
-//! a schema-version mismatch discards the stale entries. Saves go through
-//! a temp file + rename so a crash mid-write can't leave a truncated
-//! `artifacts.json` behind.
-//!
-//! ## Single-flight extraction
-//!
-//! Concurrent misses on the same key coalesce: the first requester claims
-//! the key in an in-flight table and computes; later requesters block on
-//! a condvar until the winner publishes, then serve the cached value.
-//! This matters most in the dynamic lane — a profile is a whole batch of
-//! VM executions — and is the single-process form of the scan daemon's
-//! request dedup (two clients auditing the same image trigger one
-//! extraction). A winner that fails releases its claim on unwind, so
-//! waiters retry rather than hang.
-//!
-//! ## Tenant namespaces
-//!
-//! Every lookup/extract entry point has a `*_ns` variant taking a
-//! namespace salt ([`crate::key::tenant_salt`]): keys are relocated by
-//! XOR before touching the shards, so tenants sharing one store (and one
-//! persisted cache) never observe each other's artifacts. The plain
-//! entry points are the zero-salt (identity) namespace.
+//! Each lane loads and quarantines on its own, and every lane fails open:
+//! a quarantined or missing entry is recomputed, bitwise-identical to a
+//! cold run. The crate-internal `*_ns` entry points relocate keys by a
+//! tenant salt ([`crate::key::tenant_salt`]) so tenants sharing one store
+//! never observe each other's artifacts; the trait impls on the store are
+//! the zero-salt namespace.
 
-use crate::dynstore::DynLane;
-use crate::index::SignatureIndex;
-use crate::key::{ArtifactKey, SCHEMA_VERSION};
+use crate::key::{ArtifactKey, Fnv2};
+use crate::lane::{Checksummed, Flight, Lane};
 use disasm::CfgSummary;
 use fwbin::format::Binary;
-use parking_lot::Mutex;
 use patchecko_core::dynsource::{self, DynProfile, DynProfileSource, EnvSet};
 use patchecko_core::error::ScanError;
 use patchecko_core::features::{self, StaticFeatures};
@@ -53,16 +30,22 @@ use patchecko_core::pipeline::FeatureSource;
 use patchecko_core::retrieval::FunctionSignature;
 use scope::{Counter, MetricsRegistry};
 use serde::{Deserialize, Serialize};
-use std::collections::{BTreeMap, HashMap};
+use std::convert::Infallible;
 use std::path::Path;
 use std::sync::Arc;
+use vm::env::{ArgSpec, ExecEnv};
 use vm::exec::VmConfig;
 use vm::fuzz::FuzzConfig;
 use vm::loader::LoadedBinary;
 
-/// Shard count of the in-memory map. Power of two, comfortably above the
-/// worker counts the scheduler runs with.
-const NUM_SHARDS: usize = 16;
+/// On-disk file name of the static lane.
+pub const CACHE_FILE: &str = "artifacts.json";
+
+/// On-disk file name of the dynamic lane.
+pub const DYN_CACHE_FILE: &str = "dyn_artifacts.json";
+
+/// On-disk file name of the signature lane.
+pub const SIG_INDEX_FILE: &str = "sig_index.json";
 
 /// The cached artifacts of one function.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -73,30 +56,98 @@ pub struct Artifact {
     pub cfg: CfgSummary,
 }
 
-/// Structural checksum of an artifact: FNV-1a over the exact bit patterns
-/// of the feature vector (`f64::to_bits`, immune to JSON float round-trip
-/// concerns) and every CFG-summary field. A persisted entry whose bytes
-/// were tampered with or truncated mid-value fails this check on load.
-pub fn artifact_checksum(a: &Artifact) -> u64 {
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut eat = |bytes: &[u8]| {
-        for &b in bytes {
-            h = (h ^ b as u64).wrapping_mul(PRIME);
+/// FNV-1a over the exact bit patterns of the feature vector and every
+/// CFG-summary field.
+impl Checksummed for Artifact {
+    fn checksum(&self) -> u64 {
+        let mut h = Fnv2::new();
+        for &f in self.features.as_slice() {
+            h.update_u64(f.to_bits());
         }
-    };
-    for &f in a.features.as_slice() {
-        eat(&f.to_bits().to_le_bytes());
+        let cfg = &self.cfg;
+        h.update_u32(cfg.num_blocks);
+        h.update_u32(cfg.num_edges);
+        h.update_u64(cfg.cyclomatic as u64);
+        for k in cfg.kind_counts {
+            h.update_u32(k);
+        }
+        h.update_u32(cfg.max_block_len);
+        h.update_u32(cfg.byte_size);
+        h.hi
     }
-    eat(&a.cfg.num_blocks.to_le_bytes());
-    eat(&a.cfg.num_edges.to_le_bytes());
-    eat(&a.cfg.cyclomatic.to_le_bytes());
-    for k in a.cfg.kind_counts {
-        eat(&k.to_le_bytes());
+}
+
+/// One entry of the dynamic lane.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+pub(crate) enum DynEntry {
+    /// The surviving execution environments of a reference function, in
+    /// generation order (keyed by [`ArtifactKey::for_env_set`]).
+    Envs(Vec<ExecEnv>),
+    /// A function's dynamic profile over one environment set (keyed by
+    /// [`ArtifactKey::for_dyn_profile`]).
+    Profile(DynProfile),
+}
+
+/// FNV-1a over every environment's full contents (input bytes, argument
+/// specs with exact float bits, global overrides), or over a profile's ok
+/// bits and exact feature bits; length-prefixed throughout.
+impl Checksummed for DynEntry {
+    fn checksum(&self) -> u64 {
+        let mut h = Fnv2::new();
+        match self {
+            DynEntry::Envs(envs) => {
+                h.update_u64(envs.len() as u64);
+                for env in envs {
+                    h.update_u64(env.input.len() as u64);
+                    h.update(&env.input);
+                    h.update_u64(env.args.len() as u64);
+                    for arg in &env.args {
+                        let (tag, bits) = match *arg {
+                            ArgSpec::InputPtr => (1, 0),
+                            ArgSpec::Int(v) => (2, v as u64),
+                            ArgSpec::Float(v) => (3, v.to_bits()),
+                        };
+                        h.update(&[tag]);
+                        h.update_u64(bits);
+                    }
+                    h.update_u64(env.global_overrides.len() as u64);
+                    for &(gid, v) in &env.global_overrides {
+                        h.update_u64(u64::from(gid));
+                        h.update_u64(v as u64);
+                    }
+                }
+            }
+            DynEntry::Profile(p) => {
+                h.update_u64(p.ok.len() as u64);
+                for &b in &p.ok {
+                    h.update(&[b as u8]);
+                }
+                h.update_u64(p.features.len() as u64);
+                for f in &p.features {
+                    for &x in f.as_slice() {
+                        h.update_u64(x.to_bits());
+                    }
+                }
+            }
+        }
+        h.hi
     }
-    eat(&a.cfg.max_block_len.to_le_bytes());
-    eat(&a.cfg.byte_size.to_le_bytes());
-    h
+}
+
+/// FNV-1a over the quantized vector and the MinHash values.
+impl Checksummed for FunctionSignature {
+    fn checksum(&self) -> u64 {
+        let mut h = Fnv2::new();
+        h.update_u64(self.q.len() as u64);
+        for &q in &self.q {
+            h.update_u64(q as i64 as u64);
+        }
+        h.update_u64(self.minhash.len() as u64);
+        for &m in &self.minhash {
+            h.update_u32(m);
+        }
+        h.hi
+    }
 }
 
 /// A point-in-time snapshot of the store's counters.
@@ -110,8 +161,7 @@ pub struct CacheStats {
     pub extractions: u64,
     /// Entries currently resident.
     pub entries: u64,
-    /// Persisted entries (or whole cache files) evicted because they
-    /// failed checksum/schema/parse validation on load.
+    /// Persisted entries (or whole files) that failed validation on load.
     #[serde(default)]
     pub quarantined: u64,
     /// Dynamic-lane lookups (environment sets and profiles) served from
@@ -127,8 +177,7 @@ pub struct CacheStats {
     /// Dynamic-lane entries currently resident (env sets + profiles).
     #[serde(default)]
     pub dyn_entries: u64,
-    /// Dynamic-lane entries (or the whole `dyn_artifacts.json`) evicted on
-    /// load for failing checksum/schema/parse validation.
+    /// Dynamic-lane entries (or whole files) that failed validation on load.
     #[serde(default)]
     pub dyn_quarantined: u64,
     /// Signature-lane lookups served from the cache (a retrieval
@@ -141,8 +190,7 @@ pub struct CacheStats {
     /// Signature-lane entries currently resident.
     #[serde(default)]
     pub sig_entries: u64,
-    /// Signature-lane entries (or the whole `sig_index.json`) evicted on
-    /// load for failing checksum/schema/parse validation.
+    /// Signature-lane entries (or whole files) that failed validation.
     #[serde(default)]
     pub sig_quarantined: u64,
 }
@@ -211,94 +259,19 @@ impl std::fmt::Display for CacheStats {
     }
 }
 
-/// One persisted entry: the artifact plus its structural checksum, so a
-/// byte flipped on disk is detected (and the entry quarantined) on load.
-#[derive(Serialize, Deserialize)]
-struct PersistedEntry {
-    /// [`artifact_checksum`] of `artifact` at save time.
-    checksum: u64,
-    /// The cached artifact.
-    artifact: Artifact,
-}
-
-/// On-disk image of the store (one JSON document per cache directory).
-#[derive(Serialize, Deserialize)]
-struct PersistedStore {
-    /// Feature-schema version the artifacts were extracted under.
-    schema: u32,
-    /// Hex key → checksummed artifact.
-    artifacts: BTreeMap<String, PersistedEntry>,
-}
-
-/// The in-flight table behind single-flight extraction. One table covers
-/// every lane — static artifacts, env sets, profiles — because their key
-/// spaces are already domain-separated by construction.
-///
-/// `std::sync::Condvar` (not `parking_lot`, which vendors no condvar):
-/// waiters sleep until the current winner for their key publishes or
-/// fails, instead of burning a core polling the shards.
-struct Flight {
-    inflight: std::sync::Mutex<std::collections::HashSet<ArtifactKey>>,
-    done: std::sync::Condvar,
-}
-
-/// RAII claim on one in-flight key: dropping it — on success *or* unwind
-/// — releases the key and wakes every waiter, so a panicking winner can
-/// never strand losers on the condvar.
-struct FlightClaim<'a> {
-    flight: &'a Flight,
-    key: ArtifactKey,
-}
-
-impl Flight {
-    fn new() -> Flight {
-        Flight { inflight: std::sync::Mutex::new(std::collections::HashSet::new()), done: std::sync::Condvar::new() }
-    }
-
-    /// Try to become the computer for `key`. `Some(claim)` means this
-    /// caller won and must compute + publish (the claim releases on
-    /// drop). `None` means another caller was already computing; by the
-    /// time `None` is returned that computation has finished (published
-    /// or failed) — re-check the cache.
-    fn claim(&self, key: ArtifactKey) -> Option<FlightClaim<'_>> {
-        let mut set = self.inflight.lock().expect("flight lock");
-        if set.insert(key) {
-            return Some(FlightClaim { flight: self, key });
-        }
-        while set.contains(&key) {
-            set = self.done.wait(set).expect("flight lock");
-        }
-        None
-    }
-}
-
-impl Drop for FlightClaim<'_> {
-    fn drop(&mut self) {
-        self.flight.inflight.lock().expect("flight lock").remove(&self.key);
-        self.flight.done.notify_all();
-    }
-}
-
-/// The sharded artifact store.
-///
-/// Cache counters are `scope` registry counters (`cache.hits`,
-/// `cache.misses`, `cache.extractions`, `cache.quarantined`), resolved
-/// once at construction and bumped through lock-free handles on the hot
-/// path. Each store owns its registry — a fresh private one by default,
-/// so concurrent stores never see each other's counts — and the CLI
-/// passes `scope::global_shared()` in so cache activity lands in the
-/// same snapshot as span timings and scheduler counters.
+/// The artifact store: three lanes sharing one in-flight table, plus the
+/// `cache.extractions` / `dyncache.profiled` work counters. Each store owns
+/// its `scope` registry — a fresh private one by default, so concurrent
+/// stores never see each other's counts; the CLI passes
+/// `scope::global_shared()` so cache activity lands beside span timings.
 pub struct ArtifactStore {
-    shards: Vec<Mutex<HashMap<ArtifactKey, Arc<Artifact>>>>,
-    registry: Arc<MetricsRegistry>,
-    hits: Counter,
-    misses: Counter,
-    extractions: Counter,
-    quarantined: Counter,
-    quarantine_log: Mutex<Vec<String>>,
-    dyn_lane: DynLane,
-    sig_lane: SignatureIndex,
+    artifacts: Lane<Artifact>,
+    dynamic: Lane<DynEntry>,
+    signatures: Lane<FunctionSignature>,
     flight: Flight,
+    registry: Arc<MetricsRegistry>,
+    extractions: Counter,
+    profiled: Counter,
 }
 
 impl Default for ArtifactStore {
@@ -316,16 +289,13 @@ impl ArtifactStore {
     /// An empty store recording its cache counters into `registry`.
     pub fn with_registry(registry: Arc<MetricsRegistry>) -> ArtifactStore {
         ArtifactStore {
-            shards: (0..NUM_SHARDS).map(|_| Mutex::new(HashMap::new())).collect(),
-            hits: registry.counter("cache.hits"),
-            misses: registry.counter("cache.misses"),
+            artifacts: Lane::new(&registry, "cache", CACHE_FILE),
+            dynamic: Lane::new(&registry, "dyncache", DYN_CACHE_FILE),
+            signatures: Lane::new(&registry, "index", SIG_INDEX_FILE),
+            flight: Flight::default(),
             extractions: registry.counter("cache.extractions"),
-            quarantined: registry.counter("cache.quarantined"),
-            dyn_lane: DynLane::with_registry(&registry),
-            sig_lane: SignatureIndex::with_registry(&registry),
+            profiled: registry.counter("dyncache.profiled"),
             registry,
-            quarantine_log: Mutex::new(Vec::new()),
-            flight: Flight::new(),
         }
     }
 
@@ -336,113 +306,65 @@ impl ArtifactStore {
 
     /// Current counter snapshot.
     pub fn stats(&self) -> CacheStats {
+        let (a, d, s) = (&self.artifacts, &self.dynamic, &self.signatures);
         CacheStats {
-            hits: self.hits.get(),
-            misses: self.misses.get(),
+            hits: a.hits.get(),
+            misses: a.misses.get(),
             extractions: self.extractions.get(),
-            entries: self.shards.iter().map(|s| s.lock().len() as u64).sum(),
-            quarantined: self.quarantined.get(),
-            dyn_hits: self.dyn_lane.hits.get(),
-            dyn_misses: self.dyn_lane.misses.get(),
-            dyn_profiled: self.dyn_lane.profiled.get(),
-            dyn_entries: self.dyn_lane.entries(),
-            dyn_quarantined: self.dyn_lane.quarantined.get(),
-            sig_hits: self.sig_lane.hits.get(),
-            sig_misses: self.sig_lane.misses.get(),
-            sig_entries: self.sig_lane.entries(),
-            sig_quarantined: self.sig_lane.quarantined.get(),
+            entries: a.entries(),
+            quarantined: a.quarantined.get(),
+            dyn_hits: d.hits.get(),
+            dyn_misses: d.misses.get(),
+            dyn_profiled: self.profiled.get(),
+            dyn_entries: d.entries(),
+            dyn_quarantined: d.quarantined.get(),
+            sig_hits: s.hits.get(),
+            sig_misses: s.misses.get(),
+            sig_entries: s.entries(),
+            sig_quarantined: s.quarantined.get(),
         }
     }
 
-    /// Record a quarantine event: the offending entry is never inserted
-    /// (evicted by construction), the counter moves, and the detail is
-    /// kept for reports and tests.
-    fn quarantine(&self, detail: String) {
-        self.quarantined.inc();
-        self.quarantine_log.lock().push(detail);
-    }
-
     /// Details of every quarantine event since construction (validation
-    /// failures found while loading the disk layer, all lanes).
+    /// failures found while loading the disk layer), static lane first,
+    /// then dynamic, then signature.
     pub fn quarantine_records(&self) -> Vec<String> {
-        let mut records = self.quarantine_log.lock().clone();
-        records.extend(self.dyn_lane.quarantine_records());
-        records.extend(self.sig_lane.quarantine_records());
+        let mut records = self.artifacts.quarantine_records();
+        records.extend(self.dynamic.quarantine_records());
+        records.extend(self.signatures.quarantine_records());
         records
     }
 
-    /// Number of resident entries.
+    /// Number of resident static-lane entries.
     pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.lock().len()).sum()
+        self.artifacts.entries() as usize
     }
 
-    /// Whether the store holds no entries.
+    /// Whether the static lane holds no entries.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
 
-    fn lookup(&self, key: ArtifactKey) -> Option<Arc<Artifact>> {
-        let found = self.shards[key.shard(NUM_SHARDS)].lock().get(&key).cloned();
-        match &found {
-            Some(_) => self.hits.inc(),
-            None => self.misses.inc(),
-        };
-        found
-    }
-
-    fn insert(&self, key: ArtifactKey, artifact: Artifact) -> Arc<Artifact> {
-        let arc = Arc::new(artifact);
-        self.shards[key.shard(NUM_SHARDS)].lock().insert(key, Arc::clone(&arc));
-        arc
-    }
-
-    fn extract(&self, bin: &Binary, idx: usize) -> Result<Artifact, ScanError> {
-        self.extractions.inc();
-        let dis = disasm::disassemble(bin, idx)
-            .map_err(|e| ScanError::extraction(&bin.lib_name, idx, &e))?;
-        Ok(Artifact {
-            features: features::extract(&dis, &bin.functions[idx]),
-            cfg: dis.cfg.summary(),
-        })
-    }
-
-    /// The artifacts of function `idx` of `bin`, extracting and caching on
-    /// first sight. Concurrent misses on one key single-flight: exactly
-    /// one caller extracts (outside every lock), the rest wait and serve
-    /// the published entry — so `cache.extractions` counts distinct
+    /// The artifacts of function `idx` of `bin` in the namespace named by
+    /// `salt`, extracting and caching on first sight. Concurrent misses on
+    /// one key single-flight, so `cache.extractions` counts distinct
     /// extractions even under a racing scheduler.
-    ///
-    /// # Errors
-    /// [`ScanError::Extraction`] when the function's code fails to decode.
-    pub fn get_or_extract(&self, bin: &Binary, idx: usize) -> Result<Arc<Artifact>, ScanError> {
-        self.get_or_extract_ns(bin, idx, (0, 0))
-    }
-
-    /// [`ArtifactStore::get_or_extract`] in the cache namespace named by
-    /// `salt` (see [`crate::key::tenant_salt`]; `(0, 0)` is the base
-    /// namespace).
-    ///
-    /// # Errors
-    /// As for [`ArtifactStore::get_or_extract`].
-    pub fn get_or_extract_ns(
+    fn artifact(
         &self,
         bin: &Binary,
         idx: usize,
         salt: (u64, u64),
     ) -> Result<Arc<Artifact>, ScanError> {
         let key = ArtifactKey::for_function(bin, idx).namespaced(salt);
-        loop {
-            if let Some(found) = self.lookup(key) {
-                return Ok(found);
-            }
-            if let Some(_claim) = self.flight.claim(key) {
-                let artifact = self.extract(bin, idx)?;
-                return Ok(self.insert(key, artifact));
-            }
-            // A concurrent winner just finished this key: loop to serve
-            // its published entry (or claim the flight ourselves if it
-            // failed and published nothing).
-        }
+        self.artifacts.get_or_compute(key, &self.flight, || {
+            self.extractions.inc();
+            let dis = disasm::disassemble(bin, idx)
+                .map_err(|e| ScanError::extraction(&bin.lib_name, idx, &e))?;
+            Ok(Artifact {
+                features: features::extract(&dis, &bin.functions[idx]),
+                cfg: dis.cfg.summary(),
+            })
+        })
     }
 
     /// Pre-populate the store with every function of an image. Returns the
@@ -451,69 +373,28 @@ impl ArtifactStore {
     /// # Errors
     /// The first extraction failure, if any function fails to decode.
     pub fn warm_image(&self, image: &fwbin::FirmwareImage) -> Result<usize, ScanError> {
-        self.warm_image_ns(image, (0, 0))
-    }
-
-    /// [`ArtifactStore::warm_image`] in the namespace named by `salt`.
-    ///
-    /// # Errors
-    /// The first extraction failure, if any function fails to decode.
-    pub fn warm_image_ns(
-        &self,
-        image: &fwbin::FirmwareImage,
-        salt: (u64, u64),
-    ) -> Result<usize, ScanError> {
-        let mut n = 0;
         for bin in &image.binaries {
             for idx in 0..bin.function_count() {
-                self.get_or_extract_ns(bin, idx, salt)?;
-                n += 1;
+                self.artifact(bin, idx, (0, 0))?;
             }
         }
-        Ok(n)
+        Ok(image.binaries.iter().map(Binary::function_count).sum())
     }
 
-    /// Write the store to `dir/artifacts.json` (creating `dir` as needed).
-    /// The write goes to a temp file first and is renamed into place, so a
-    /// crash mid-save leaves the previous cache intact rather than a
-    /// truncated document.
+    /// Write every lane to its own file under `dir` (creating `dir` as
+    /// needed) — corruption in one file never takes down the others.
     ///
     /// # Errors
     /// Propagates filesystem errors.
     pub fn save(&self, dir: &Path) -> std::io::Result<()> {
-        let mut artifacts = BTreeMap::new();
-        for shard in &self.shards {
-            for (k, v) in shard.lock().iter() {
-                let entry =
-                    PersistedEntry { checksum: artifact_checksum(v), artifact: (**v).clone() };
-                artifacts.insert(k.to_hex(), entry);
-            }
-        }
-        let doc = PersistedStore { schema: SCHEMA_VERSION, artifacts };
-        std::fs::create_dir_all(dir)?;
-        let json = serde_json::to_string(&doc)
-            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))?;
-        let tmp = dir.join(format!("artifacts.json.tmp.{}", std::process::id()));
-        std::fs::write(&tmp, json)?;
-        std::fs::rename(&tmp, dir.join("artifacts.json"))?;
-        // The dynamic and signature lanes persist beside the static one,
-        // each in its own document — corruption in one file never takes
-        // down the others.
-        self.dyn_lane.save(dir)?;
-        self.sig_lane.save(dir)
+        self.artifacts.save(dir)?;
+        self.dynamic.save(dir)?;
+        self.signatures.save(dir)
     }
 
-    /// Load a store persisted by [`ArtifactStore::save`]. The disk layer
-    /// is untrusted:
-    ///
-    /// * a missing file yields an empty store;
-    /// * an unparseable (garbage or truncated) file is quarantined whole —
-    ///   renamed to `artifacts.json.quarantined` and recorded — and the
-    ///   store starts empty instead of erroring the scan;
-    /// * a schema-version mismatch discards the stale entries (they would
-    ///   desynchronize from the extractor);
-    /// * an entry with an invalid key or a checksum mismatch is evicted
-    ///   and recorded; the rest of the cache still loads.
+    /// Load a store persisted by [`ArtifactStore::save`]. Each lane's file
+    /// is untrusted and validated on its own (see `crate::lane`): damage
+    /// is quarantined and becomes a miss, never an error.
     ///
     /// # Errors
     /// Propagates filesystem errors other than `NotFound`.
@@ -530,105 +411,37 @@ impl ArtifactStore {
         dir: &Path,
         registry: Arc<MetricsRegistry>,
     ) -> std::io::Result<ArtifactStore> {
-        let path = dir.join("artifacts.json");
         let store = ArtifactStore::with_registry(registry);
-        // The dynamic and signature lanes load first from their own files;
-        // their quarantines are independent of the static document's fate
-        // below.
-        store.dyn_lane.load(dir)?;
-        store.sig_lane.load(dir)?;
-        let bytes = match std::fs::read(&path) {
-            Ok(b) => b,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(store),
-            Err(e) => return Err(e),
-        };
-        // Non-UTF-8 bytes are just another flavour of on-disk corruption:
-        // quarantine, same as unparseable JSON.
-        let json = match String::from_utf8(bytes) {
-            Ok(s) => s,
-            Err(_) => {
-                let _ = std::fs::rename(&path, dir.join("artifacts.json.quarantined"));
-                store.quarantine(format!(
-                    "cache file {}: unparseable (invalid UTF-8)",
-                    path.display()
-                ));
-                return Ok(store);
-            }
-        };
-        let doc: PersistedStore = match serde_json::from_str(&json) {
-            Ok(doc) => doc,
-            Err(e) => {
-                // Evict the whole file so the next save starts clean; keep
-                // the bytes aside for post-mortem.
-                let _ = std::fs::rename(&path, dir.join("artifacts.json.quarantined"));
-                store.quarantine(format!("cache file {}: unparseable ({e})", path.display()));
-                return Ok(store);
-            }
-        };
-        if doc.schema != SCHEMA_VERSION {
-            store.quarantine(format!(
-                "cache file {}: stale schema v{} (current v{SCHEMA_VERSION}), {} entries discarded",
-                path.display(),
-                doc.schema,
-                doc.artifacts.len()
-            ));
-            return Ok(store);
-        }
-        for (hex, entry) in doc.artifacts {
-            let Some(key) = ArtifactKey::from_hex(&hex) else {
-                store.quarantine(format!("entry {hex}: invalid key"));
-                continue;
-            };
-            let expect = artifact_checksum(&entry.artifact);
-            if entry.checksum != expect {
-                store.quarantine(format!(
-                    "entry {hex}: checksum mismatch (stored {:#018x}, computed {expect:#018x})",
-                    entry.checksum
-                ));
-                continue;
-            }
-            store.insert(key, entry.artifact);
-        }
+        store.artifacts.load(dir)?;
+        store.dynamic.load(dir)?;
+        store.signatures.load(dir)?;
         Ok(store)
     }
-}
 
-impl ArtifactStore {
     /// [`FeatureSource::features_all`] in the namespace named by `salt`.
-    ///
-    /// # Errors
-    /// The first extraction failure, if any function fails to decode.
-    pub fn features_all_ns(
+    pub(crate) fn features_all_ns(
         &self,
         bin: &Binary,
         salt: (u64, u64),
     ) -> Result<Vec<StaticFeatures>, ScanError> {
-        (0..bin.function_count())
-            .map(|i| Ok(self.get_or_extract_ns(bin, i, salt)?.features.clone()))
-            .collect()
+        (0..bin.function_count()).map(|i| self.features_one_ns(bin, i, salt)).collect()
     }
 
     /// [`FeatureSource::features_one`] in the namespace named by `salt`.
-    ///
-    /// # Errors
-    /// [`ScanError::Extraction`] when the function's code fails to decode.
-    pub fn features_one_ns(
+    pub(crate) fn features_one_ns(
         &self,
         bin: &Binary,
         idx: usize,
         salt: (u64, u64),
     ) -> Result<StaticFeatures, ScanError> {
-        Ok(self.get_or_extract_ns(bin, idx, salt)?.features.clone())
+        Ok(self.artifact(bin, idx, salt)?.features.clone())
     }
 
     /// [`FeatureSource::signatures_all`] in the namespace named by `salt`:
-    /// retrieval signatures for every function of `bin`, served from the
-    /// persistent signature lane when cached, computed from `feats` and
-    /// inserted otherwise. `feats` must be the binary's full feature
-    /// vector list (as returned by `features_all`); the signature under a
-    /// key is a pure function of the features under the same key, so the
-    /// lanes can never disagree.
-    pub fn signatures_all_ns(
+    /// `feats` must be the binary's full feature list (as returned by
+    /// `features_all`). A signature is a pure function of the features
+    /// under the same key, so the two lanes can never disagree.
+    pub(crate) fn signatures_all_ns(
         &self,
         bin: &Binary,
         feats: &[StaticFeatures],
@@ -639,25 +452,16 @@ impl ArtifactStore {
             .enumerate()
             .map(|(idx, f)| {
                 let key = ArtifactKey::for_function(bin, idx).namespaced(salt);
-                match self.sig_lane.lookup(key) {
-                    Some(sig) => (*sig).clone(),
-                    None => {
-                        let sig = FunctionSignature::of(f);
-                        self.sig_lane.insert(key, sig.clone());
-                        sig
-                    }
-                }
+                let Ok(sig) = self.signatures.get_or_compute(key, &self.flight, || {
+                    Ok::<_, Infallible>(FunctionSignature::of(f))
+                });
+                (*sig).clone()
             })
             .collect()
     }
 
-    /// [`DynProfileSource::environments`] in the namespace named by
-    /// `salt`. Concurrent misses single-flight like the static lane.
-    ///
-    /// # Errors
-    /// Infallible today (live generation cannot fail); `Result` for
-    /// seam-compatibility with [`DynProfileSource`].
-    pub fn environments_ns(
+    /// [`DynProfileSource::environments`] in the namespace named by `salt`.
+    pub(crate) fn environments_ns(
         &self,
         reference: &LoadedBinary,
         fuzz_cfg: &FuzzConfig,
@@ -665,35 +469,28 @@ impl ArtifactStore {
         salt: (u64, u64),
     ) -> Result<EnvSet, ScanError> {
         let key = ArtifactKey::for_env_set(reference.binary(), fuzz_cfg, vm).namespaced(salt);
-        loop {
-            if let Some(envs) = self.dyn_lane.lookup_envs(key) {
-                // Recomputing the fingerprint from the stored contents
-                // (rather than persisting it) keeps the env-set → profile
-                // linkage self-validating: a tampered env list that
-                // somehow survived the checksum would fingerprint
-                // differently and miss every profile derived from the
-                // original.
-                return Ok(EnvSet::new((*envs).clone(), vm));
-            }
-            if let Some(_claim) = self.flight.claim(key) {
-                let set = dynsource::live_environments(reference, fuzz_cfg, vm);
-                self.dyn_lane.insert_envs(key, set.envs.clone());
-                return Ok(set);
-            }
+        let live = || dynsource::live_environments(reference, fuzz_cfg, vm);
+        let Ok(entry) = self
+            .dynamic
+            .get_or_compute(key, &self.flight, || Ok::<_, Infallible>(DynEntry::Envs(live().envs)));
+        match &*entry {
+            // Recomputing the fingerprint from the stored contents keeps the
+            // env-set → profile linkage self-validating: a tampered env list
+            // would fingerprint differently and miss every derived profile.
+            DynEntry::Envs(envs) => Ok(EnvSet::new(envs.clone(), vm)),
+            // Only a damaged file can put a profile under an env-set key.
+            DynEntry::Profile(_) => Ok(live()),
         }
     }
 
-    /// [`DynProfileSource::profile`] in the namespace named by `salt`.
-    /// Concurrent misses single-flight: one live profiling run (a whole
-    /// batch of VM executions) serves every concurrent requester.
-    ///
-    /// # Errors
-    /// Infallible today; `Result` for seam-compatibility.
+    /// [`DynProfileSource::profile`] in the namespace named by `salt`:
+    /// one live profiling run (a whole batch of VM executions) serves every
+    /// concurrent requester.
     ///
     /// # Panics
     /// When `func` is out of range for `target`'s function table (same
     /// contract as `LoadedBinary::run_any`).
-    pub fn profile_ns(
+    pub(crate) fn profile_ns(
         &self,
         target: &LoadedBinary,
         func: usize,
@@ -701,10 +498,8 @@ impl ArtifactStore {
         vm: &VmConfig,
         salt: (u64, u64),
     ) -> Result<DynProfile, ScanError> {
-        // Same contract (and same message) as `LoadedBinary::run_any` and
-        // `LiveProfiling`, checked before key derivation so an
-        // out-of-range candidate produces identical degradation
-        // diagnostics whether the lane is warm or cold.
+        // Same contract and message as `LoadedBinary::run_any`, checked
+        // first so a warm and a cold lane degrade identically.
         assert!(
             func < target.function_count(),
             "function index {func} out of range (table holds {})",
@@ -712,16 +507,17 @@ impl ArtifactStore {
         );
         let key =
             ArtifactKey::for_dyn_profile(target.binary(), func, envs.fingerprint).namespaced(salt);
-        loop {
-            if let Some(profile) = self.dyn_lane.lookup_profile(key) {
-                return Ok((*profile).clone());
-            }
-            if let Some(_claim) = self.flight.claim(key) {
-                self.dyn_lane.profiled.inc();
-                let profile = dynsource::live_profile(target, func, &envs.envs, vm);
-                self.dyn_lane.insert_profile(key, profile.clone());
-                return Ok(profile);
-            }
+        let live = || {
+            self.profiled.inc();
+            dynsource::live_profile(target, func, &envs.envs, vm)
+        };
+        let Ok(entry) = self
+            .dynamic
+            .get_or_compute(key, &self.flight, || Ok::<_, Infallible>(DynEntry::Profile(live())));
+        match &*entry {
+            DynEntry::Profile(profile) => Ok(profile.clone()),
+            // Only a damaged file can put an env set under a profile key.
+            DynEntry::Envs(_) => Ok(live()),
         }
     }
 }
@@ -740,12 +536,9 @@ impl FeatureSource for ArtifactStore {
     }
 }
 
-/// The dynamic lane served through the pipeline's [`DynProfileSource`]
-/// seam. Both methods are infallible by construction: a damaged or
-/// missing cache entry was already quarantined at load time and is simply
-/// a miss here, answered by live fuzzing/execution — so cache trouble
-/// degrades to cold-run behaviour (bitwise-identical results, more VM
-/// executions), never to an error.
+/// The dynamic lane behind the pipeline's [`DynProfileSource`] seam.
+/// Infallible by construction: a damaged entry was quarantined at load and
+/// is just a miss here, answered live — bitwise-identical, never an error.
 impl DynProfileSource for ArtifactStore {
     fn environments(
         &self,
@@ -838,113 +631,11 @@ mod tests {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
-    #[test]
-    fn missing_cache_dir_loads_empty() {
-        let dir = std::env::temp_dir().join("scanhub-store-definitely-missing");
-        let store = ArtifactStore::load(&dir).unwrap();
-        assert!(store.is_empty());
-    }
-
     /// A fresh temp cache dir, cleaned before use.
     fn temp_cache(tag: &str) -> std::path::PathBuf {
         let dir = std::env::temp_dir().join(format!("scanhub-{tag}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         dir
-    }
-
-    #[test]
-    fn garbage_cache_file_quarantined_and_reextracted() {
-        let dir = temp_cache("garbage");
-        std::fs::create_dir_all(&dir).unwrap();
-        std::fs::write(dir.join("artifacts.json"), b"{ not json at all \xff\xfe").unwrap();
-
-        let store = ArtifactStore::load(&dir).unwrap();
-        assert!(store.is_empty(), "garbage must never be served");
-        assert_eq!(store.stats().quarantined, 1);
-        assert!(store.quarantine_records()[0].contains("unparseable"));
-        // The bad file was moved aside, so the store can save cleanly.
-        assert!(dir.join("artifacts.json.quarantined").exists());
-        assert!(!dir.join("artifacts.json").exists());
-
-        // Warm scan falls back to re-extraction, matching a cold scan bitwise.
-        let bin = sample_binary();
-        let recovered = store.features_all(&bin).unwrap();
-        assert_eq!(recovered, DirectExtraction.features_all(&bin).unwrap());
-        assert_eq!(store.stats().extractions, bin.function_count() as u64);
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn truncated_cache_file_quarantined_and_reextracted() {
-        let dir = temp_cache("truncated");
-        let bin = sample_binary();
-        let store = ArtifactStore::new();
-        let cold = store.features_all(&bin).unwrap();
-        store.save(&dir).unwrap();
-        // Simulate a crash mid-write of a non-atomic writer: cut the file.
-        let path = dir.join("artifacts.json");
-        let bytes = std::fs::read(&path).unwrap();
-        std::fs::write(&path, &bytes[..bytes.len() / 2]).unwrap();
-
-        let reloaded = ArtifactStore::load(&dir).unwrap();
-        assert!(reloaded.is_empty(), "truncated JSON must never be served");
-        assert_eq!(reloaded.stats().quarantined, 1);
-        let warm = reloaded.features_all(&bin).unwrap();
-        assert_eq!(warm, cold, "recovery matches the cold scan bitwise");
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn stale_schema_cache_discarded() {
-        let dir = temp_cache("stale-schema");
-        let bin = sample_binary();
-        let store = ArtifactStore::new();
-        store.features_all(&bin).unwrap();
-        store.save(&dir).unwrap();
-        // Rewrite the document under an old schema version.
-        let path = dir.join("artifacts.json");
-        let json = std::fs::read_to_string(&path).unwrap();
-        let stale = json.replacen(
-            &format!("\"schema\":{SCHEMA_VERSION}"),
-            "\"schema\":1",
-            1,
-        );
-        assert_ne!(json, stale, "schema field rewritten");
-        std::fs::write(&path, stale).unwrap();
-
-        let reloaded = ArtifactStore::load(&dir).unwrap();
-        assert!(reloaded.is_empty(), "stale-schema artifacts are discarded");
-        assert_eq!(reloaded.stats().quarantined, 1);
-        assert!(reloaded.quarantine_records()[0].contains("stale schema"));
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn checksum_mismatch_evicts_only_the_tampered_entry() {
-        let dir = temp_cache("tampered");
-        let bin = sample_binary();
-        let store = ArtifactStore::new();
-        let cold = store.features_all(&bin).unwrap();
-        store.save(&dir).unwrap();
-        // Corrupt one entry's checksum so its artifact no longer validates
-        // (equivalent to the artifact bytes having been tampered with).
-        let path = dir.join("artifacts.json");
-        let mut doc: PersistedStore =
-            serde_json::from_str(&std::fs::read_to_string(&path).unwrap()).unwrap();
-        let n_entries = doc.artifacts.len();
-        doc.artifacts.values_mut().next().unwrap().checksum ^= 1;
-        std::fs::write(&path, serde_json::to_string(&doc).unwrap()).unwrap();
-
-        let reloaded = ArtifactStore::load(&dir).unwrap();
-        assert_eq!(reloaded.len(), n_entries - 1, "only the tampered entry is evicted");
-        assert_eq!(reloaded.stats().quarantined, 1);
-        assert!(reloaded.quarantine_records()[0].contains("checksum mismatch"));
-        // The tampered value is never served: the warm scan re-extracts it
-        // and matches the cold scan bitwise.
-        let warm = reloaded.features_all(&bin).unwrap();
-        assert_eq!(warm, cold);
-        assert_eq!(reloaded.stats().extractions, 1, "exactly the evicted entry re-extracts");
-        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
@@ -1056,58 +747,36 @@ mod tests {
     }
 
     #[test]
-    fn tampered_dyn_entry_evicted_and_recomputed() {
-        let dir = temp_cache("dyn-tampered");
+    fn swapped_dyn_entry_kinds_are_answered_live() {
+        // Checksums validate values, not the key they sit under: a file
+        // whose env set and profile trade places loads clean, and each
+        // mis-kinded entry is answered live instead of served.
+        let dir = temp_cache("dyn-swapped");
         let (lb, fuzz, vmc) = dyn_fixture();
         let store = ArtifactStore::new();
         let envs = store.environments(&lb, &fuzz, &vmc).unwrap();
         let cold = store.profile(&lb, 0, &envs, &vmc).unwrap();
         store.save(&dir).unwrap();
 
-        // Flip one profile checksum so the entry no longer validates.
-        let path = dir.join(crate::dynstore::DYN_CACHE_FILE);
-        let mut doc: crate::dynstore::PersistedDynStore =
+        let path = dir.join(DYN_CACHE_FILE);
+        let mut doc: serde_json::Value =
             serde_json::from_str(&std::fs::read_to_string(&path).unwrap()).unwrap();
-        doc.profiles.values_mut().next().unwrap().checksum ^= 1;
+        let serde_json::Value::Map(fields) = &mut doc else { panic!("document is an object") };
+        let Some((_, serde_json::Value::Map(entries))) =
+            fields.iter_mut().find(|(k, _)| k == "entries")
+        else {
+            panic!("document has an entry map")
+        };
+        let (first, second) = entries.split_at_mut(1);
+        std::mem::swap(&mut first[0].1, &mut second[0].1);
         std::fs::write(&path, serde_json::to_string(&doc).unwrap()).unwrap();
 
         let reloaded = ArtifactStore::load(&dir).unwrap();
-        assert_eq!(reloaded.stats().dyn_quarantined, 1, "only the tampered entry is evicted");
-        assert!(reloaded
-            .quarantine_records()
-            .iter()
-            .any(|r| r.contains("dyn profile") && r.contains("checksum mismatch")));
-        // The evicted profile is recomputed live, bitwise-identical.
+        assert_eq!(reloaded.stats().dyn_quarantined, 0, "both entries are individually valid");
         let envs2 = reloaded.environments(&lb, &fuzz, &vmc).unwrap();
-        let warm = reloaded.profile(&lb, 0, &envs2, &vmc).unwrap();
-        assert_eq!(warm, cold);
-        assert_eq!(reloaded.stats().dyn_profiled, 1, "exactly the evicted profile re-executes");
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn stale_dyn_schema_discarded_independently_of_static_lane() {
-        let dir = temp_cache("dyn-stale");
-        let (lb, fuzz, vmc) = dyn_fixture();
-        let store = ArtifactStore::new();
-        store.features_all(lb.binary()).unwrap();
-        let envs = store.environments(&lb, &fuzz, &vmc).unwrap();
-        store.profile(&lb, 0, &envs, &vmc).unwrap();
-        store.save(&dir).unwrap();
-
-        let path = dir.join(crate::dynstore::DYN_CACHE_FILE);
-        let json = std::fs::read_to_string(&path).unwrap();
-        let stale = json.replacen(&format!("\"schema\":{SCHEMA_VERSION}"), "\"schema\":2", 1);
-        assert_ne!(json, stale, "schema field rewritten");
-        std::fs::write(&path, stale).unwrap();
-
-        let reloaded = ArtifactStore::load(&dir).unwrap();
-        assert_eq!(reloaded.stats().dyn_entries, 0, "stale dyn entries are discarded");
-        assert_eq!(reloaded.stats().dyn_quarantined, 1);
-        assert!(reloaded.quarantine_records().iter().any(|r| r.contains("stale schema")));
-        // The static lane is untouched by dynamic-lane staleness.
-        assert_eq!(reloaded.len(), store.len());
-        assert_eq!(reloaded.stats().quarantined, 0);
+        assert_eq!(envs2.envs, envs.envs);
+        assert_eq!(reloaded.profile(&lb, 0, &envs2, &vmc).unwrap(), cold);
+        assert_eq!(reloaded.stats().dyn_profiled, 1, "the mis-kinded profile re-executes");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -1160,19 +829,64 @@ mod tests {
         });
     }
 
+    /// Every lane's checksum survives a JSON round-trip (bit-exact floats)
+    /// and moves when any field does.
     #[test]
-    fn checksum_is_structural_and_stable() {
-        let bin = sample_binary();
+    fn checksums_are_structural_and_json_stable() {
+        fn check<
+            V: Checksummed + Serialize + serde::de::DeserializeOwned + PartialEq + std::fmt::Debug,
+        >(
+            value: &V,
+            tampered: &V,
+        ) {
+            let back: V = serde_json::from_str(&serde_json::to_string(value).unwrap()).unwrap();
+            assert_eq!(&back, value);
+            assert_eq!(back.checksum(), value.checksum(), "JSON round-trip preserves the checksum");
+            assert_ne!(tampered.checksum(), value.checksum(), "{tampered:?}");
+        }
         let store = ArtifactStore::new();
-        let a = store.get_or_extract(&bin, 0).unwrap();
-        let c1 = artifact_checksum(&a);
-        // A JSON round-trip preserves the checksum (bit-exact floats).
-        let json = serde_json::to_string(&*a).unwrap();
-        let back: Artifact = serde_json::from_str(&json).unwrap();
-        assert_eq!(artifact_checksum(&back), c1);
-        // Any field change moves it.
-        let mut tampered = back.clone();
-        tampered.cfg.num_blocks += 1;
-        assert_ne!(artifact_checksum(&tampered), c1);
+        let bin = sample_binary();
+        let artifact = (*store.artifact(&bin, 0, (0, 0)).unwrap()).clone();
+        let mut t = artifact.clone();
+        t.cfg.num_blocks += 1;
+        check(&artifact, &t);
+        let mut t = artifact.clone();
+        t.features.0[3] = f64::from_bits(t.features.0[3].to_bits() ^ 1);
+        check(&artifact, &t);
+
+        let sig = FunctionSignature::of(&artifact.features);
+        let mut t = sig.clone();
+        t.q[7] ^= 1;
+        check(&sig, &t);
+        let mut t = sig.clone();
+        t.minhash[3] ^= 1;
+        check(&sig, &t);
+
+        let envs = DynEntry::Envs(vec![
+            ExecEnv::for_buffer(vec![1, 2, 3], &[7]),
+            ExecEnv {
+                input: vec![9; 4],
+                args: vec![ArgSpec::InputPtr, ArgSpec::Float(0.1 + 0.2)],
+                global_overrides: vec![(2, -5)],
+            },
+        ]);
+        let DynEntry::Envs(e) = &envs else { unreachable!() };
+        let mut flipped = e.clone();
+        flipped[0].input[1] ^= 1;
+        check(&envs, &DynEntry::Envs(flipped));
+        let mut fewer_args = e.clone();
+        fewer_args[1].args.pop();
+        check(&envs, &DynEntry::Envs(fewer_args));
+
+        let mut f = vm::DynFeatures([0.0; vm::NUM_DYN_FEATURES]);
+        f.0[0] = 1.25;
+        f.0[3] = -0.000_1;
+        let p = DynProfile { ok: vec![true, false], features: vec![f.clone(), f] };
+        let mut ok_flipped = p.clone();
+        ok_flipped.ok[1] = true;
+        check(&DynEntry::Profile(p.clone()), &DynEntry::Profile(ok_flipped));
+        let mut nudged = p.clone();
+        nudged.features[0].0[0] = 1.250_000_001;
+        check(&DynEntry::Profile(p), &DynEntry::Profile(nudged));
     }
 }

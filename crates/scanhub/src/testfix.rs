@@ -1,6 +1,6 @@
 //! Shared test fixtures for scanhub's unit-test modules.
 //!
-//! `key`, `store`, and `dynstore` tests all need small deterministic
+//! `key`, `store`, `lane` and `namespace` tests all need small deterministic
 //! compiled libraries; the `fwlang` generate → `compile_library` dance
 //! lives here once instead of being copy-pasted per module. The named
 //! fixtures keep their historical (seed, name, size, arch, opt) tuples so
