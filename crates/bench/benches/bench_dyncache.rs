@@ -69,9 +69,9 @@ fn bench_dyncache(c: &mut Criterion) {
     // Correctness gate before any timing: a warm re-audit must be
     // VM-free and bit-identical to the cold audit it was warmed by.
     let warm_hub = ScanHub::with_registry(analyzer(), scope::global_shared());
-    let cold_report = warm_hub.audit(&db, image, &diff).unwrap();
+    let cold_report = warm_hub.audit_tenant(&db, image, &diff, "").unwrap();
     let executed = vm_executions();
-    let warm_report = warm_hub.audit(&db, image, &diff).unwrap();
+    let warm_report = warm_hub.audit_tenant(&db, image, &diff, "").unwrap();
     assert_eq!(vm_executions(), executed, "warm re-audit must perform zero VM executions");
     assert_eq!(
         serde_json::to_string(&cold_report).unwrap(),
@@ -84,14 +84,14 @@ fn bench_dyncache(c: &mut Criterion) {
     c.bench_function("dyncache/audit_cold", |b| {
         b.iter_batched(
             || ScanHub::new(analyzer()),
-            |hub| black_box(hub.audit(&db, image, &diff).unwrap()),
+            |hub| black_box(hub.audit_tenant(&db, image, &diff, "").unwrap()),
             BatchSize::SmallInput,
         )
     });
 
     // Warm: the steady state — cache lookups plus the NN forward pass.
     c.bench_function("dyncache/audit_warm", |b| {
-        b.iter(|| black_box(warm_hub.audit(&db, image, &diff).unwrap()))
+        b.iter(|| black_box(warm_hub.audit_tenant(&db, image, &diff, "").unwrap()))
     });
 
     bench_dyn_stage(c, &detector, &device);

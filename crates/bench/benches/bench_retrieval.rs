@@ -30,7 +30,7 @@ use fwlang::gen::Generator;
 use neural::net::TrainConfig;
 use patchecko_core::detector::{self, Detector, DetectorConfig};
 use patchecko_core::features::StaticFeatures;
-use patchecko_core::pipeline::{Basis, Patchecko, PipelineConfig};
+use patchecko_core::pipeline::{Basis, Patchecko, PipelineConfig, ScanCtx};
 use patchecko_core::retrieval::{Retrieval, DEFAULT_TOP_K};
 
 fn small_detector() -> Detector {
@@ -82,8 +82,8 @@ fn assert_recall_gate(db: &VulnDb, exact: &Patchecko, topk: &Patchecko, pool_ext
             for arch in Arch::ALL {
                 for opt in OptLevel::ALL {
                     let bin = fwbin::compile_library(&lib, arch, opt).unwrap();
-                    let e = exact.scan_library(&bin, &pool).unwrap();
-                    let t = topk.scan_library(&bin, &pool).unwrap();
+                    let e = exact.scan_library(&bin, &pool, &ScanCtx::default()).unwrap();
+                    let t = topk.scan_library(&bin, &pool, &ScanCtx::default()).unwrap();
                     for f in 0..e.total {
                         total += 1;
                         let (ef, tf) = (e.candidates.contains(&f), t.candidates.contains(&f));
@@ -149,8 +149,8 @@ fn bench_retrieval(c: &mut Criterion) {
     // DB size.
     for (scale, pool) in &pools {
         let full = analyzer(&detector, Retrieval::TopK { k: pool.len() });
-        let e = exact.scan_library(&target, pool).unwrap();
-        let f = full.scan_library(&target, pool).unwrap();
+        let e = exact.scan_library(&target, pool, &ScanCtx::default()).unwrap();
+        let f = full.scan_library(&target, pool, &ScanCtx::default()).unwrap();
         let bits = |p: &[f32]| p.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         assert_eq!(bits(&e.probs), bits(&f.probs), "identity gate failed at {scale}× DB");
         assert_eq!(e.candidates, f.candidates, "identity gate failed at {scale}× DB");
@@ -167,12 +167,13 @@ fn bench_retrieval(c: &mut Criterion) {
     // series grows linearly with the pool; the indexed series stays
     // near-flat (ranking is ~48 madds per reference, classification runs
     // only on the ~K survivors).
+    let ctx = ScanCtx::default();
     for (scale, pool) in &pools {
         c.bench_function(&format!("retrieval/exact/db{}", 4 * scale), |b| {
-            b.iter(|| black_box(exact.scan_library(&target, pool).unwrap()))
+            b.iter(|| black_box(exact.scan_library(&target, pool, &ctx).unwrap()))
         });
         c.bench_function(&format!("retrieval/indexed/db{}", 4 * scale), |b| {
-            b.iter(|| black_box(topk.scan_library(&target, pool).unwrap()))
+            b.iter(|| black_box(topk.scan_library(&target, pool, &ctx).unwrap()))
         });
     }
 }

@@ -8,7 +8,7 @@ use std::hint::black_box;
 use corpus::dataset1::Dataset1Config;
 use neural::net::TrainConfig;
 use patchecko_core::detector::{self, Detector, DetectorConfig};
-use patchecko_core::pipeline::{live_profiling, Basis, Patchecko, PipelineConfig};
+use patchecko_core::pipeline::{live_profiling, Basis, Patchecko, PipelineConfig, ScanCtx};
 use patchecko_core::{features, similarity};
 use std::sync::Arc;
 use vm::loader::LoadedBinary;
@@ -40,8 +40,9 @@ fn bench_stages(c: &mut Criterion) {
     let references = Patchecko::reference_feature_set(entry, Basis::Vulnerable).unwrap();
 
     // DP column: whole-library static scan (features + batched NN forward).
+    let ctx = ScanCtx::default();
     c.bench_function("static_stage/scan_library_56fn", |b| {
-        b.iter(|| black_box(patchecko.scan_library(&bin, &references).unwrap()))
+        b.iter(|| black_box(patchecko.scan_library(&bin, &references, &ctx).unwrap()))
     });
 
     // Feature extraction alone (the IDA-plugin analog).
@@ -50,7 +51,7 @@ fn bench_stages(c: &mut Criterion) {
     });
 
     // DA column: dynamic stage over the scan's candidate set.
-    let scan = patchecko.scan_library(&bin, &references).unwrap();
+    let scan = patchecko.scan_library(&bin, &references, &ctx).unwrap();
     let ref_loaded = Arc::new(LoadedBinary::load(entry.vulnerable_bin.clone()).unwrap());
     let target_loaded = Arc::new(LoadedBinary::load(bin.clone()).unwrap());
     let dynsrc = live_profiling();

@@ -10,7 +10,7 @@
 //! ```
 
 use patchecko_bench::{build, write_json, HarnessOpts, Table};
-use patchecko_core::pipeline::{Basis, Patchecko};
+use patchecko_core::pipeline::{Basis, Patchecko, ScanCtx};
 
 #[derive(serde::Serialize)]
 struct Fp {
@@ -33,7 +33,8 @@ fn main() {
             let bin = device.image.binary(&truth.library).expect("library");
             for basis in [Basis::Vulnerable, Basis::Patched] {
                 let references = Patchecko::reference_feature_set(entry, basis).unwrap();
-                let scan = ev.patchecko.scan_library(bin, &references).unwrap();
+                let scan =
+                    ev.patchecko.scan_library(bin, &references, &ScanCtx::default()).unwrap();
                 // FP = flagged functions that are not the true target.
                 let fp = scan
                     .candidates

@@ -9,8 +9,10 @@
 //! [`ScanError::DeadlineExceeded`], which the service layer maps to a
 //! per-tenant `expired` counter and a typed wire rejection.
 //!
-//! Tokens are plain `Copy` values: an unbounded token costs nothing and
-//! every legacy entry point threads one through unchanged.
+//! Tokens are plain `Copy` values carried in the
+//! [`ScanCtx::cancel`](crate::pipeline::ScanCtx::cancel) field every
+//! pipeline operation takes; the default context's unbounded token costs
+//! nothing.
 
 use std::time::{Duration, Instant};
 

@@ -17,10 +17,11 @@
 //! patch changes one integer constant and is invisible to all three
 //! channels.
 
+use crate::cancel::CancelToken;
 use crate::dynsource::{DynProfileSource, EnvSet};
 use crate::error::ScanError;
 use crate::features::StaticFeatures;
-use crate::pipeline::{live_profiling, DirectExtraction, FeatureSource, Patchecko};
+use crate::pipeline::{FeatureSource, Patchecko, ScanCtx};
 use crate::similarity;
 use corpus::vulndb::DbEntry;
 use fwbin::format::Binary;
@@ -103,6 +104,18 @@ pub struct PatchVerdict {
     /// signature channels alone. Degraded verdicts report
     /// `f64::INFINITY` dynamic distances and abstain on the dynamic vote.
     pub degraded: bool,
+}
+
+impl PatchVerdict {
+    /// How close the target sits to either reference version: the nearer
+    /// dynamic distance plus the nearer static distance. Degraded verdicts
+    /// have infinite dynamic distances, so their proximity falls back to
+    /// the static term alone and candidate selection stays meaningful.
+    pub(crate) fn proximity(&self) -> f64 {
+        let dyn_prox = self.dyn_dist_vulnerable.min(self.dyn_dist_patched);
+        (if dyn_prox.is_finite() { dyn_prox } else { 0.0 })
+            + self.static_dist_vulnerable.min(self.static_dist_patched)
+    }
 }
 
 impl Serialize for PatchVerdict {
@@ -197,49 +210,30 @@ fn share(a: f64, b: f64) -> f64 {
 /// `target_idx` is the function (from the pipeline's ranking) inside
 /// `target_bin`. Environments are generated from both references and
 /// filtered to those all three functions survive, so the three dynamic
-/// profiles are comparable.
+/// profiles are comparable. Static features come from `ctx.features` and
+/// dynamic profiles from `ctx.profiles`: cached sources let a warm
+/// re-audit skip all three static extractions *and* every VM execution
+/// here.
+///
+/// # Errors
+/// Propagates static extraction failures from the source. Loader failures
+/// on the dynamic side do **not** error: the verdict degrades to the
+/// static and signature channels with [`PatchVerdict::degraded`] set.
 pub fn detect_patch(
     patchecko: &Patchecko,
     entry: &DbEntry,
     target_bin: &Binary,
     target_idx: usize,
     cfg: &DifferentialConfig,
-) -> Result<PatchVerdict, ScanError> {
-    detect_patch_with(
-        patchecko,
-        entry,
-        target_bin,
-        target_idx,
-        cfg,
-        &DirectExtraction,
-        &live_profiling(),
-    )
-}
-
-/// [`detect_patch`] with static features served by `source` and dynamic
-/// profiles served by `dynsrc`: cached sources let a warm re-audit skip
-/// all three static extractions *and* every VM execution here.
-///
-/// # Errors
-/// Propagates static extraction failures from the source. Loader failures
-/// on the dynamic side do **not** error: the verdict degrades to the
-/// static and signature channels with [`PatchVerdict::degraded`] set.
-pub fn detect_patch_with(
-    patchecko: &Patchecko,
-    entry: &DbEntry,
-    target_bin: &Binary,
-    target_idx: usize,
-    cfg: &DifferentialConfig,
-    source: &dyn FeatureSource,
-    dynsrc: &Arc<dyn DynProfileSource>,
+    ctx: &ScanCtx,
 ) -> Result<PatchVerdict, ScanError> {
     let _span = scope::SpanGuard::enter("differential").with_detail(entry.entry.cve.clone());
     let vm_cfg = &patchecko.config.vm;
 
     // --- static channel ---
-    let fv = Patchecko::reference_features_with(entry, crate::pipeline::Basis::Vulnerable, source)?;
-    let fp = Patchecko::reference_features_with(entry, crate::pipeline::Basis::Patched, source)?;
-    let ft = source.features_one(target_bin, target_idx)?;
+    let fv = Patchecko::reference_features(entry, crate::pipeline::Basis::Vulnerable, ctx)?;
+    let fp = Patchecko::reference_features(entry, crate::pipeline::Basis::Patched, ctx)?;
+    let ft = ctx.features.features_one(target_bin, target_idx)?;
     let norm = &patchecko.detector.norm;
     let sv = static_distance(norm, &fv, &ft);
     let sp = static_distance(norm, &fp, &ft);
@@ -267,6 +261,7 @@ pub fn detect_patch_with(
             // bitwise-identical to re-running the subset, and one cached
             // profile per (function, env set) serves every verdict.
             let dyn_channel = (|| -> Result<(f64, f64), ScanError> {
+                let dynsrc = &ctx.profiles;
                 let fuzz_cfg = &patchecko.config.fuzz;
                 let set_v = dynsrc.environments(&vref, fuzz_cfg, vm_cfg)?;
                 let set_p = dynsrc.environments(&pref, fuzz_cfg, vm_cfg)?;
@@ -464,33 +459,14 @@ fn exploit_behaviour_vote(
 
 /// Run the differential engine on several candidate target functions and
 /// keep the verdict of the candidate most likely to *be* the target: the
-/// one closest to either reference version (`min(dv, dp)`). A false
-/// positive sits far from both the vulnerable and the patched build of the
-/// CVE function; the true target is near one of them. Ties (including the
-/// all-zero distances of feature-invisible patches) break toward the more
-/// decisive margin.
+/// one closest to either reference version (`PatchVerdict::proximity`).
+/// A false positive sits far from both the vulnerable and the patched
+/// build of the CVE function; the true target is near one of them. Ties
+/// (including the all-zero distances of feature-invisible patches) break
+/// toward the more decisive margin. Static features are served by `source`
+/// and dynamic profiles by `dynsrc`, as in [`detect_patch`].
 ///
 /// Returns `None` if `candidates` is empty.
-pub fn detect_patch_best(
-    patchecko: &Patchecko,
-    entry: &DbEntry,
-    target_bin: &Binary,
-    candidates: &[usize],
-    cfg: &DifferentialConfig,
-) -> Result<Option<(usize, PatchVerdict)>, ScanError> {
-    detect_patch_best_with(
-        patchecko,
-        entry,
-        target_bin,
-        candidates,
-        cfg,
-        &DirectExtraction,
-        &live_profiling(),
-    )
-}
-
-/// [`detect_patch_best`] with static features served by `source` and
-/// dynamic profiles served by `dynsrc`.
 ///
 /// # Errors
 /// The first per-candidate [`ScanError`], if any.
@@ -503,14 +479,12 @@ pub fn detect_patch_best_with(
     source: &dyn FeatureSource,
     dynsrc: &Arc<dyn DynProfileSource>,
 ) -> Result<Option<(usize, PatchVerdict)>, ScanError> {
+    let ctx =
+        ScanCtx { features: source, profiles: Arc::clone(dynsrc), cancel: CancelToken::unbounded() };
     let mut best: Option<(usize, PatchVerdict, f64)> = None;
     for &c in candidates {
-        let v = detect_patch_with(patchecko, entry, target_bin, c, cfg, source, dynsrc)?;
-        // Degraded verdicts have infinite dynamic distances; fall back to
-        // static proximity alone so candidate selection stays meaningful.
-        let dyn_proximity = v.dyn_dist_vulnerable.min(v.dyn_dist_patched);
-        let proximity = if dyn_proximity.is_finite() { dyn_proximity } else { 0.0 }
-            + v.static_dist_vulnerable.min(v.static_dist_patched);
+        let v = detect_patch(patchecko, entry, target_bin, c, cfg, &ctx)?;
+        let proximity = v.proximity();
         let better = match &best {
             Some((_, b, d)) => {
                 proximity < *d - 1e-9
@@ -528,11 +502,21 @@ pub fn detect_patch_best_with(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pipeline::PipelineConfig;
+    use crate::pipeline::{live_profiling, DirectExtraction, PipelineConfig};
     use crate::testutil::shared_detector;
 
     fn quick_patchecko() -> Patchecko {
         Patchecko::new(shared_detector().clone(), PipelineConfig::default())
+    }
+
+    /// [`detect_patch`] on function 0 of `target`, live sources.
+    fn verdict(
+        patchecko: &Patchecko,
+        entry: &DbEntry,
+        target: &Binary,
+        cfg: &DifferentialConfig,
+    ) -> PatchVerdict {
+        detect_patch(patchecko, entry, target, 0, cfg, &ScanCtx::default()).unwrap()
     }
 
     /// Compile a target carrying the requested version of a CVE entry's
@@ -582,7 +566,7 @@ mod tests {
         let db = corpus::build_vulndb(0, 1);
         let entry = db.get("CVE-2018-9412").unwrap();
         let target = target_with(entry, false);
-        let v = detect_patch(&patchecko, entry, &target, 0, &DifferentialConfig::default()).unwrap();
+        let v = verdict(&patchecko, entry, &target, &DifferentialConfig::default());
         assert!(!v.patched, "margin {}, dv {} dp {}", v.margin, v.dyn_dist_vulnerable, v.dyn_dist_patched);
         // The paper's case-study signal: memmove in the vulnerable import
         // set, absent from the patched one, present in the target.
@@ -597,7 +581,7 @@ mod tests {
         let db = corpus::build_vulndb(0, 1);
         let entry = db.get("CVE-2018-9412").unwrap();
         let target = target_with(entry, true);
-        let v = detect_patch(&patchecko, entry, &target, 0, &DifferentialConfig::default()).unwrap();
+        let v = verdict(&patchecko, entry, &target, &DifferentialConfig::default());
         assert!(v.patched, "margin {}", v.margin);
     }
 
@@ -610,10 +594,10 @@ mod tests {
         let entry = db.get("CVE-2018-9470").unwrap();
         assert!(entry.entry.poc.is_some(), "9470 carries a PoC");
         let cfg = DifferentialConfig { use_exploit_channel: true, ..Default::default() };
-        let v = detect_patch(&patchecko, entry, &target_with(entry, false), 0, &cfg).unwrap();
+        let v = verdict(&patchecko, entry, &target_with(entry, false), &cfg);
         assert_eq!(v.exploit_vote, Some(-1), "target behaves like the vulnerable build");
         assert!(!v.patched, "exploit evidence overrides the tie");
-        let v = detect_patch(&patchecko, entry, &target_with(entry, true), 0, &cfg).unwrap();
+        let v = verdict(&patchecko, entry, &target_with(entry, true), &cfg);
         assert_eq!(v.exploit_vote, Some(1));
         assert!(v.patched);
     }
@@ -626,7 +610,7 @@ mod tests {
         let db = corpus::build_vulndb(0, 1);
         let entry = db.get("CVE-2018-9412").unwrap();
         let cfg = DifferentialConfig { use_exploit_channel: true, ..Default::default() };
-        let v = detect_patch(&patchecko, entry, &target_with(entry, false), 0, &cfg).unwrap();
+        let v = verdict(&patchecko, entry, &target_with(entry, false), &cfg);
         assert_eq!(v.exploit_vote, Some(-1));
         assert!(!v.patched);
     }
@@ -660,12 +644,26 @@ mod tests {
         }
     }
 
+    /// [`detect_patch_best_with`] over live sources, unwrapped.
+    fn best(
+        patchecko: &Patchecko,
+        entry: &DbEntry,
+        target: &Binary,
+        candidates: &[usize],
+        cfg: &DifferentialConfig,
+    ) -> (usize, PatchVerdict) {
+        let live = live_profiling();
+        detect_patch_best_with(patchecko, entry, target, candidates, cfg, &DirectExtraction, &live)
+            .unwrap()
+            .unwrap()
+    }
+
     const PROP_CVES: [&str; 3] = ["CVE-2018-9412", "CVE-2018-9451", "CVE-2018-9470"];
 
     proptest! {
         #![proptest_config(ProptestConfig { cases: 3, ..ProptestConfig::default() })]
 
-        /// Satellite invariant 1: [`detect_patch_best`] must not depend on
+        /// Satellite invariant 1: [`detect_patch_best_with`] must not depend on
         /// the order the candidate list is supplied in — same chosen
         /// function, same decision, bit-identical margin. The candidates
         /// are distinct functions of a generated library, so proximity
@@ -687,10 +685,8 @@ mod tests {
             let mut permuted = base.clone();
             permuted.rotate_left(rot);
             permuted.reverse();
-            let (ac, av) =
-                detect_patch_best(&patchecko, entry, &target, &base, &cfg).unwrap().unwrap();
-            let (bc, bv) =
-                detect_patch_best(&patchecko, entry, &target, &permuted, &cfg).unwrap().unwrap();
+            let (ac, av) = best(&patchecko, entry, &target, &base, &cfg);
+            let (bc, bv) = best(&patchecko, entry, &target, &permuted, &cfg);
             prop_assert_eq!(ac, bc, "chosen candidate depends on supply order");
             prop_assert_eq!(av.patched, bv.patched);
             prop_assert_eq!(av.tie_break, bv.tie_break);
@@ -714,8 +710,8 @@ mod tests {
             let entry = db.get(PROP_CVES[cve_i]).unwrap();
             let target = target_with(entry, target_patched);
             let cfg = DifferentialConfig::default();
-            let v = detect_patch(&patchecko, entry, &target, 0, &cfg).unwrap();
-            let w = detect_patch(&patchecko, &role_flipped(entry), &target, 0, &cfg).unwrap();
+            let v = verdict(&patchecko, entry, &target, &cfg);
+            let w = verdict(&patchecko, &role_flipped(entry), &target, &cfg);
             prop_assert_eq!(v.tie_break, w.tie_break, "tie is role-symmetric");
             if v.tie_break {
                 prop_assert!(v.patched && w.patched, "tie-break defaults to patched");
@@ -742,7 +738,7 @@ mod tests {
         let db = corpus::build_vulndb(0, 1);
         let entry = db.get("CVE-2018-9470").unwrap();
         let target = target_with(entry, false); // actually vulnerable
-        let v = detect_patch(&patchecko, entry, &target, 0, &DifferentialConfig::default()).unwrap();
+        let v = verdict(&patchecko, entry, &target, &DifferentialConfig::default());
         // The engine cannot tell and defaults to "patched" — the paper's
         // one Table VIII miss.
         assert!(v.tie_break, "expected inconclusive evidence, margin {}", v.margin);

@@ -5,7 +5,8 @@
 use crate::detector::{self, DetectorConfig, TestMetrics};
 use crate::differential::{self, DifferentialConfig, PatchVerdict};
 use crate::error::ScanError;
-use crate::pipeline::{Basis, CveAnalysis, Patchecko, PipelineConfig};
+use crate::pipeline::{Basis, CveAnalysis, Patchecko, PipelineConfig, ScanCtx};
+use crate::report::{AuditFinding, AuditReport, AuditStatus};
 use crate::similarity;
 use corpus::device::DeviceBuild;
 use corpus::vulndb::{DbEntry, VulnDb};
@@ -82,7 +83,7 @@ pub fn evaluate_cve(
         .image
         .binary(&truth.library)
         .unwrap_or_else(|| panic!("{} missing from image", truth.library));
-    let analysis = patchecko.analyze_library(bin, entry, basis)?;
+    let analysis = patchecko.analyze_library(bin, entry, basis, &ScanCtx::default())?;
 
     let mut tp = 0u32;
     let mut fp = 0u32;
@@ -119,7 +120,7 @@ pub fn evaluate_cve(
 /// Candidate target functions for the differential engine: the union of
 /// the top-3 of both bases' rankings (distances across bases are not
 /// directly comparable — the environments differ — so the differential
-/// engine itself arbitrates via [`differential::detect_patch_best`]).
+/// engine itself arbitrates via [`differential::detect_patch_best_with`]).
 pub fn locate_candidates(vuln: &CveAnalysis, patched: &CveAnalysis) -> Vec<usize> {
     let mut out = Vec::new();
     for r in vuln.dynamic.ranking.iter().take(3).chain(patched.dynamic.ranking.iter().take(3)) {
@@ -148,8 +149,16 @@ pub fn evaluate_patch_detection(
         .ok_or_else(|| ScanError::UnknownCve(entry.entry.cve.clone()))?;
     let candidates = locate_candidates(&va, &pa);
     let bin = device.image.binary(&truth.library).expect("library present");
-    let Some((_, verdict)) =
-        differential::detect_patch_best(patchecko, entry, bin, &candidates, diff_cfg)?
+    let ctx = ScanCtx::default();
+    let Some((_, verdict)) = differential::detect_patch_best_with(
+        patchecko,
+        entry,
+        bin,
+        &candidates,
+        diff_cfg,
+        ctx.features,
+        &ctx.profiles,
+    )?
     else {
         return Ok((
             PatchRow {
@@ -170,40 +179,26 @@ pub fn evaluate_patch_detection(
     Ok((row, Some(verdict)))
 }
 
-/// Audit a whole firmware image against the vulnerability database,
-/// producing the deployment-facing [`crate::report::AuditReport`]: per CVE,
-/// locate the target via both search bases, arbitrate with
-/// [`differential::detect_patch_best`], and classify.
-pub fn audit_image(
-    patchecko: &Patchecko,
-    db: &VulnDb,
-    image: &fwbin::FirmwareImage,
-    diff_cfg: &DifferentialConfig,
-) -> Result<crate::report::AuditReport, ScanError> {
-    audit_image_with(
-        patchecko,
-        db,
-        image,
-        diff_cfg,
-        &crate::pipeline::DirectExtraction,
-        &crate::pipeline::live_profiling(),
-    )
-}
-
-/// One CVE's share of [`audit_image_with`]: both-basis image analysis,
-/// per-library candidate collection, differential arbitration.
-fn audit_one_cve(
+/// Audit one CVE against a whole firmware image: analyze every library
+/// under both search bases, collect each library's best matches, arbitrate
+/// each library's candidates with
+/// [`differential::detect_patch_best_with`], and locate the CVE at the
+/// verdict closest to either reference (`PatchVerdict::proximity`; ties
+/// keep the lowest library index). This is one finding of
+/// [`audit_image`], and all of the CLI's `patch-check`.
+///
+/// # Errors
+/// [`ScanError::DeadlineExceeded`] when `ctx.cancel` expires; otherwise
+/// the first [`ScanError`] from the analyses or the differential engine.
+pub fn audit_cve(
     patchecko: &Patchecko,
     entry: &DbEntry,
     image: &fwbin::FirmwareImage,
     diff_cfg: &DifferentialConfig,
-    source: &dyn crate::pipeline::FeatureSource,
-    dynsrc: &std::sync::Arc<dyn crate::dynsource::DynProfileSource>,
-    cancel: &crate::cancel::CancelToken,
-) -> Result<(crate::report::AuditStatus, Option<String>, Option<PatchVerdict>), ScanError> {
-    use crate::report::AuditStatus;
-    let va = patchecko.analyze_image_ctl(image, entry, Basis::Vulnerable, source, dynsrc, cancel)?;
-    let pa = patchecko.analyze_image_ctl(image, entry, Basis::Patched, source, dynsrc, cancel)?;
+    ctx: &ScanCtx,
+) -> Result<AuditFinding, ScanError> {
+    let va = patchecko.analyze_image(image, entry, Basis::Vulnerable, ctx)?;
+    let pa = patchecko.analyze_image(image, entry, Basis::Patched, ctx)?;
     // Per-library candidate sets from both bases.
     let mut by_lib: std::collections::BTreeMap<usize, Vec<usize>> = Default::default();
     for m in va.best.iter().chain(pa.best.iter()) {
@@ -214,111 +209,93 @@ fn audit_one_cve(
     }
     let mut best: Option<(String, usize, PatchVerdict, f64)> = None;
     for (li, cands) in by_lib {
-        cancel.check()?;
+        ctx.cancel.check()?;
         let bin = &image.binaries[li];
-        if let Some((idx, v)) =
-            differential::detect_patch_best_with(
-                patchecko, entry, bin, &cands, diff_cfg, source, dynsrc,
-            )?
-        {
-            let dyn_prox = v.dyn_dist_vulnerable.min(v.dyn_dist_patched);
-            let proximity = if dyn_prox.is_finite() { dyn_prox } else { 0.0 }
-                + v.static_dist_vulnerable.min(v.static_dist_patched);
-            let better = match &best {
-                Some((_, _, _, d)) => proximity < *d,
-                None => true,
-            };
-            if better {
+        if let Some((idx, v)) = differential::detect_patch_best_with(
+            patchecko,
+            entry,
+            bin,
+            &cands,
+            diff_cfg,
+            ctx.features,
+            &ctx.profiles,
+        )? {
+            let proximity = v.proximity();
+            if best.as_ref().is_none_or(|(_, _, _, d)| proximity < *d) {
                 best = Some((bin.lib_name.clone(), idx, v, proximity));
             }
         }
     }
     Ok(match best {
-        Some((lib, idx, v, _)) => (
+        Some((lib, idx, v, _)) => finding(
+            entry,
             if v.patched { AuditStatus::Patched } else { AuditStatus::Vulnerable },
             Some(format!("{lib}:{idx}")),
             Some(v),
+            None,
         ),
-        None => (AuditStatus::NotFound, None, None),
+        None => finding(entry, AuditStatus::NotFound, None, None, None),
     })
 }
 
-/// [`audit_image`] with static features served by `source` and dynamic
-/// profiles served by `dynsrc`: with a warm scanhub artifact store, the
-/// whole audit performs zero disassembly / feature-extraction work *and*
-/// zero VM executions.
-///
-/// Failure policy: a *permanent* per-CVE failure (malformed input) is
-/// recorded as an [`AuditStatus::Error`](crate::report::AuditStatus::Error)
-/// finding and the audit continues — one poisoned entry must not sink the
-/// image. A *transient* failure (quarantined artifact, injected fault,
-/// worker death) propagates as `Err` so the caller — typically the scanhub
-/// scheduler — can retry the whole job.
-///
-/// # Errors
-/// The first transient [`ScanError`] encountered.
-pub fn audit_image_with(
-    patchecko: &Patchecko,
-    db: &VulnDb,
-    image: &fwbin::FirmwareImage,
-    diff_cfg: &DifferentialConfig,
-    source: &dyn crate::pipeline::FeatureSource,
-    dynsrc: &std::sync::Arc<dyn crate::dynsource::DynProfileSource>,
-) -> Result<crate::report::AuditReport, ScanError> {
-    audit_image_ctl(
-        patchecko,
-        db,
-        image,
-        diff_cfg,
-        source,
-        dynsrc,
-        &crate::cancel::CancelToken::unbounded(),
-    )
+/// One report row for `entry`, carrying the CVE's catalog metadata.
+fn finding(
+    entry: &DbEntry,
+    status: AuditStatus,
+    located: Option<String>,
+    verdict: Option<PatchVerdict>,
+    error: Option<ScanError>,
+) -> AuditFinding {
+    AuditFinding {
+        cve: entry.entry.cve.clone(),
+        expected_library: entry.entry.library.clone(),
+        severity: format!("{:?}", entry.entry.severity).to_lowercase(),
+        cwe: Some(entry.meta.cwe().to_string()),
+        cvss: Some(entry.meta.metrics.base_score),
+        status,
+        located,
+        degraded: verdict.as_ref().is_some_and(|v| v.degraded),
+        verdict,
+        error,
+    }
 }
 
-/// [`audit_image_with`] under a cancellation token: the token is checked
-/// before every CVE (and, inside each CVE, between per-library stages),
-/// so an audit whose end-to-end deadline has passed surfaces the typed
-/// [`ScanError::DeadlineExceeded`] at the next stage boundary instead of
-/// running the database to completion.
+/// Audit a whole firmware image against the vulnerability database,
+/// producing the deployment-facing [`AuditReport`]: one [`audit_cve`]
+/// finding per CVE. With a warm scanhub artifact store behind `ctx`, the
+/// whole audit performs zero disassembly / feature-extraction work *and*
+/// zero VM executions. `ctx.cancel` is checked before every CVE (and,
+/// inside each CVE, between per-library stages), so an audit whose
+/// end-to-end deadline has passed stops at the next stage boundary
+/// instead of running the database to completion.
+///
+/// Failure policy: a *permanent* per-CVE failure (malformed input) is
+/// recorded as an [`AuditStatus::Error`] finding and the audit continues —
+/// one poisoned entry must not sink the image. A *transient* failure
+/// (quarantined artifact, injected fault, worker death) propagates as
+/// `Err` so the caller — typically the scanhub scheduler — can retry the
+/// whole job.
 ///
 /// # Errors
 /// [`ScanError::DeadlineExceeded`] on expiry; otherwise the first
 /// transient [`ScanError`] encountered.
-pub fn audit_image_ctl(
+pub fn audit_image(
     patchecko: &Patchecko,
     db: &VulnDb,
     image: &fwbin::FirmwareImage,
     diff_cfg: &DifferentialConfig,
-    source: &dyn crate::pipeline::FeatureSource,
-    dynsrc: &std::sync::Arc<dyn crate::dynsource::DynProfileSource>,
-    cancel: &crate::cancel::CancelToken,
-) -> Result<crate::report::AuditReport, ScanError> {
-    use crate::report::{AuditFinding, AuditReport, AuditStatus};
+    ctx: &ScanCtx,
+) -> Result<AuditReport, ScanError> {
     let _span = scope::SpanGuard::enter("audit").with_detail(image.device.clone());
     let mut findings = Vec::new();
     // The whole database, not just the featured Table VI slice: a
     // production audit answers for every CVE the reference DB knows.
     for entry in &db.entries {
-        cancel.check()?;
-        let (status, located, verdict, error) =
-            match audit_one_cve(patchecko, entry, image, diff_cfg, source, dynsrc, cancel) {
-                Ok((status, located, verdict)) => (status, located, verdict, None),
-                Err(e) if e.is_transient() => return Err(e),
-                Err(e) => (AuditStatus::Error, None, None, Some(e)),
-            };
-        let degraded = verdict.as_ref().is_some_and(|v| v.degraded);
-        findings.push(AuditFinding {
-            cve: entry.entry.cve.clone(),
-            expected_library: entry.entry.library.clone(),
-            severity: format!("{:?}", entry.entry.severity).to_lowercase(),
-            cwe: Some(entry.meta.cwe().to_string()),
-            cvss: Some(entry.meta.metrics.base_score),
-            status,
-            located,
-            verdict,
-            degraded,
-            error,
+        ctx.cancel.check()?;
+        findings.push(match audit_cve(patchecko, entry, image, diff_cfg, ctx) {
+            Ok(found) => found,
+            Err(e) if e.is_transient() => return Err(e),
+            Err(e) => finding(entry, AuditStatus::Error, None, None, Some(e)),
         });
     }
     Ok(AuditReport {

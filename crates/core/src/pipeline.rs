@@ -162,11 +162,61 @@ impl FeatureSource for DirectExtraction {
 }
 
 /// A fresh [`LiveProfiling`] handle as a shareable trait object — the
-/// default `dynsrc` of every non-`_with` entry point. Construction is
-/// free (the type is a unit struct); scanhub passes its dynamic artifact
-/// lane here instead.
+/// `profiles` of [`ScanCtx::default`]. Construction is free (the type is a
+/// unit struct); scanhub passes its dynamic artifact lane instead.
 pub fn live_profiling() -> Arc<dyn DynProfileSource> {
     Arc::new(LiveProfiling)
+}
+
+/// Everything an operation needs besides its inputs: where static features
+/// come from, where execution environments and dynamic profiles come from,
+/// and when to stop. Every pipeline operation — locate
+/// ([`Patchecko::analyze_library`], [`Patchecko::analyze_image`]),
+/// arbitrate ([`crate::differential::detect_patch`]) and audit
+/// ([`crate::eval::audit_image`]) — takes one `&ScanCtx`.
+///
+/// [`ScanCtx::default`] extracts and executes everything live and never
+/// expires. [`ScanCtx::over`] serves both lanes from one cache (scanhub's
+/// artifact store, or a tenant's view of it — which tenant is a property
+/// of the source, not of the context). A service overrides single fields
+/// with struct-update syntax:
+/// `ScanCtx { cancel, ..ScanCtx::over(&view) }`.
+pub struct ScanCtx<'a> {
+    /// Static features and retrieval signatures, target and reference
+    /// sides alike.
+    pub features: &'a dyn FeatureSource,
+    /// Execution environments and dynamic profiles. Failures here degrade
+    /// the dynamic stage to static-only evidence; they never error.
+    pub profiles: Arc<dyn DynProfileSource>,
+    /// Checked between stages: before static extraction, before the
+    /// dynamic stage, per library and per CVE. Expiry surfaces as
+    /// [`ScanError::DeadlineExceeded`].
+    pub cancel: CancelToken,
+}
+
+impl Default for ScanCtx<'_> {
+    fn default() -> Self {
+        ScanCtx {
+            features: &DirectExtraction,
+            profiles: live_profiling(),
+            cancel: CancelToken::unbounded(),
+        }
+    }
+}
+
+impl<'a> ScanCtx<'a> {
+    /// An unbounded context whose features *and* profiles are both served
+    /// by `source` — a warm cache skips extraction and VM execution alike.
+    pub fn over<S>(source: &'a Arc<S>) -> ScanCtx<'a>
+    where
+        S: FeatureSource + DynProfileSource + 'static,
+    {
+        ScanCtx {
+            features: &**source,
+            profiles: Arc::clone(source) as Arc<dyn DynProfileSource>,
+            cancel: CancelToken::unbounded(),
+        }
+    }
 }
 
 /// Result of the static (deep learning) stage on one library.
@@ -287,29 +337,22 @@ impl Patchecko {
         Patchecko { detector, config, ref_index: Mutex::new(HashMap::new()) }
     }
 
-    /// Static features of a database entry's primary reference function.
+    /// Static features of a database entry's primary reference function,
+    /// served by `ctx.features` (reference binaries are content-addressable
+    /// too).
     ///
     /// # Errors
     /// Propagates extraction failures from the source.
-    pub fn reference_features(entry: &DbEntry, basis: Basis) -> Result<StaticFeatures, ScanError> {
-        Self::reference_features_with(entry, basis, &DirectExtraction)
-    }
-
-    /// [`Patchecko::reference_features`] through an explicit
-    /// [`FeatureSource`] (reference binaries are content-addressable too).
-    ///
-    /// # Errors
-    /// Propagates extraction failures from the source.
-    pub fn reference_features_with(
+    pub fn reference_features(
         entry: &DbEntry,
         basis: Basis,
-        source: &dyn FeatureSource,
+        ctx: &ScanCtx,
     ) -> Result<StaticFeatures, ScanError> {
         let bin = match basis {
             Basis::Vulnerable => &entry.vulnerable_bin,
             Basis::Patched => &entry.patched_bin,
         };
-        source.features_one(bin, 0)
+        ctx.features.features_one(bin, 0)
     }
 
     /// Static features of every multi-platform reference variant (§II-A:
@@ -343,20 +386,9 @@ impl Patchecko {
     }
 
     /// Stage 1: scan every function of `bin` against the reference feature
-    /// vectors with the deep-learning classifier. A function's score is
-    /// its best match across the reference variants.
-    ///
-    /// # Errors
-    /// Propagates extraction failures from the source.
-    pub fn scan_library(
-        &self,
-        bin: &Binary,
-        references: &[StaticFeatures],
-    ) -> Result<StaticScan, ScanError> {
-        self.scan_library_with(bin, references, &DirectExtraction)
-    }
-
-    /// [`Patchecko::scan_library`] with features served by `source`.
+    /// vectors with the deep-learning classifier, features served by
+    /// `ctx.features`. A function's score is its best match across the
+    /// reference variants.
     ///
     /// Under [`Retrieval::Exact`] (the default) all (reference × function)
     /// pairs are packed into one
@@ -374,14 +406,15 @@ impl Patchecko {
     ///
     /// # Errors
     /// Propagates extraction failures from the source.
-    pub fn scan_library_with(
+    pub fn scan_library(
         &self,
         bin: &Binary,
         references: &[StaticFeatures],
-        source: &dyn FeatureSource,
+        ctx: &ScanCtx,
     ) -> Result<StaticScan, ScanError> {
         let _span = scope::SpanGuard::enter("static_scan").with_detail(bin.lib_name.clone());
         let started = Instant::now();
+        let source = ctx.features;
         let feats = source.features_all(bin)?;
         // Degenerate scans (nothing to compare) return a well-formed empty
         // result: zero probabilities, no candidates, no best references —
@@ -677,71 +710,43 @@ impl Patchecko {
     }
 
     /// Run the full hybrid analysis of one CVE against one target library
-    /// binary.
+    /// binary: static features (target and reference sides alike) from
+    /// `ctx.features`, dynamic profiles from `ctx.profiles`.
+    ///
+    /// `ctx.cancel` is checked between stages — before static extraction
+    /// and again before the (much more expensive) dynamic stage — so a
+    /// request whose end-to-end deadline has passed stops within one stage
+    /// boundary instead of running the library to completion.
     ///
     /// # Errors
-    /// [`ScanError::Extraction`] (or a source-specific transient error)
-    /// when static features cannot be produced. Loader failures on the
-    /// dynamic side do **not** error: the analysis degrades to
+    /// [`ScanError::DeadlineExceeded`] when `ctx.cancel` expires between
+    /// stages; [`ScanError::Extraction`] (or a source-specific transient
+    /// error) when static features cannot be produced. Loader failures on
+    /// the dynamic side do **not** error: the analysis degrades to
     /// static-only ranking instead.
     pub fn analyze_library(
         &self,
         target_bin: &Binary,
         entry: &DbEntry,
         basis: Basis,
+        ctx: &ScanCtx,
     ) -> Result<CveAnalysis, ScanError> {
-        self.analyze_library_with(target_bin, entry, basis, &DirectExtraction, &live_profiling())
-    }
-
-    /// [`Patchecko::analyze_library`] with static features served by
-    /// `source` (target and reference sides alike) and dynamic profiles
-    /// served by `dynsrc`.
-    ///
-    /// # Errors
-    /// As for [`Patchecko::analyze_library`].
-    pub fn analyze_library_with(
-        &self,
-        target_bin: &Binary,
-        entry: &DbEntry,
-        basis: Basis,
-        source: &dyn FeatureSource,
-        dynsrc: &Arc<dyn DynProfileSource>,
-    ) -> Result<CveAnalysis, ScanError> {
-        self.analyze_library_ctl(target_bin, entry, basis, source, dynsrc, &CancelToken::unbounded())
-    }
-
-    /// [`Patchecko::analyze_library_with`] under a cancellation token.
-    ///
-    /// The token is checked between stages — before static extraction and
-    /// again before the (much more expensive) dynamic stage — so a
-    /// request whose end-to-end deadline has passed stops within one
-    /// stage boundary instead of running the library to completion.
-    ///
-    /// # Errors
-    /// [`ScanError::DeadlineExceeded`] when `cancel` expires between
-    /// stages; otherwise as for [`Patchecko::analyze_library`].
-    pub fn analyze_library_ctl(
-        &self,
-        target_bin: &Binary,
-        entry: &DbEntry,
-        basis: Basis,
-        source: &dyn FeatureSource,
-        dynsrc: &Arc<dyn DynProfileSource>,
-        cancel: &CancelToken,
-    ) -> Result<CveAnalysis, ScanError> {
-        cancel.check()?;
-        let references = Self::reference_feature_set_with(entry, basis, source)?;
-        let scan = self.scan_library_with(target_bin, &references, source)?;
-        cancel.check()?;
+        ctx.cancel.check()?;
+        let references = Self::reference_feature_set_with(entry, basis, ctx.features)?;
+        let scan = self.scan_library(target_bin, &references, ctx)?;
+        ctx.cancel.check()?;
         // Dynamic stage: reference compiled for the *target's* platform —
         // the paper executes both functions on the device itself. A binary
         // that scanned statically but fails to *load* degrades the dynamic
         // stage rather than sinking the job.
         let ref_bin = entry.reference_for(target_bin.arch, basis == Basis::Patched);
         let dynamic = match (LoadedBinary::load(ref_bin), LoadedBinary::load(target_bin.clone())) {
-            (Ok(ref_loaded), Ok(target_loaded)) => {
-                self.dynamic_stage(&Arc::new(target_loaded), &scan, &Arc::new(ref_loaded), dynsrc)
-            }
+            (Ok(ref_loaded), Ok(target_loaded)) => self.dynamic_stage(
+                &Arc::new(target_loaded),
+                &scan,
+                &Arc::new(ref_loaded),
+                &ctx.profiles,
+            ),
             (Err(e), _) => Self::degraded_analysis(
                 &scan,
                 format!("reference failed to load: {}", ScanError::load(&entry.entry.library, &e)),
@@ -760,54 +765,25 @@ impl Patchecko {
     /// and the per-library results are returned alongside the image-wide
     /// best match. This is PATCHECKO's deployment interface — "PATCHECKO
     /// outputs the vulnerable points (functions) within the target firmware
-    /// image and the corresponding CVE numbers".
+    /// image and the corresponding CVE numbers". `ctx.cancel` is checked
+    /// before every library.
+    ///
+    /// # Errors
+    /// [`ScanError::DeadlineExceeded`] when `ctx.cancel` expires; otherwise
+    /// the first per-library [`ScanError`] encountered.
     pub fn analyze_image(
         &self,
         image: &fwbin::FirmwareImage,
         entry: &DbEntry,
         basis: Basis,
-    ) -> Result<ImageAnalysis, ScanError> {
-        self.analyze_image_with(image, entry, basis, &DirectExtraction, &live_profiling())
-    }
-
-    /// [`Patchecko::analyze_image`] with static features served by `source`
-    /// and dynamic profiles served by `dynsrc`.
-    ///
-    /// # Errors
-    /// The first per-library [`ScanError`] encountered, if any.
-    pub fn analyze_image_with(
-        &self,
-        image: &fwbin::FirmwareImage,
-        entry: &DbEntry,
-        basis: Basis,
-        source: &dyn FeatureSource,
-        dynsrc: &Arc<dyn DynProfileSource>,
-    ) -> Result<ImageAnalysis, ScanError> {
-        self.analyze_image_ctl(image, entry, basis, source, dynsrc, &CancelToken::unbounded())
-    }
-
-    /// [`Patchecko::analyze_image_with`] under a cancellation token: the
-    /// token is checked before every library so an expired request stops
-    /// at the next library boundary.
-    ///
-    /// # Errors
-    /// [`ScanError::DeadlineExceeded`] when `cancel` expires; otherwise
-    /// the first per-library [`ScanError`] encountered.
-    pub fn analyze_image_ctl(
-        &self,
-        image: &fwbin::FirmwareImage,
-        entry: &DbEntry,
-        basis: Basis,
-        source: &dyn FeatureSource,
-        dynsrc: &Arc<dyn DynProfileSource>,
-        cancel: &CancelToken,
+        ctx: &ScanCtx,
     ) -> Result<ImageAnalysis, ScanError> {
         let analyses: Vec<CveAnalysis> = image
             .binaries
             .iter()
             .map(|bin| {
-                cancel.check()?;
-                self.analyze_library_ctl(bin, entry, basis, source, dynsrc, cancel)
+                ctx.cancel.check()?;
+                self.analyze_library(bin, entry, basis, ctx)
             })
             .collect::<Result<_, _>>()?;
         // Best match: the lowest-distance top candidate across libraries.
@@ -892,7 +868,9 @@ mod tests {
         let truth = device.truth_for("CVE-2018-9412").unwrap();
         let target_bin = device.image.binary(&truth.library).unwrap();
 
-        let analysis = patchecko.analyze_library(target_bin, entry, Basis::Vulnerable).unwrap();
+        let analysis = patchecko
+            .analyze_library(target_bin, entry, Basis::Vulnerable, &ScanCtx::default())
+            .unwrap();
         assert_eq!(analysis.dynamic.confidence, Confidence::Full);
         assert!(analysis.dynamic.degradation.is_none());
         assert!(analysis.scan.total > 10);
@@ -927,8 +905,9 @@ mod tests {
         let device = corpus::build_device(&corpus::android_things_spec(), &cat, 0.05);
         let truth = device.truth_for("CVE-2018-9451").unwrap();
         let bin = device.image.binary(&truth.library).unwrap();
-        let a = patchecko.analyze_library(bin, entry, Basis::Vulnerable).unwrap();
-        let b = patchecko.analyze_library(bin, entry, Basis::Vulnerable).unwrap();
+        let ctx = ScanCtx::default();
+        let a = patchecko.analyze_library(bin, entry, Basis::Vulnerable, &ctx).unwrap();
+        let b = patchecko.analyze_library(bin, entry, Basis::Vulnerable, &ctx).unwrap();
         assert_eq!(a.scan.probs, b.scan.probs);
         assert_eq!(a.scan.candidates, b.scan.candidates);
         assert_eq!(a.dynamic.validated, b.dynamic.validated);
@@ -1122,7 +1101,7 @@ mod tests {
             let cfg = PipelineConfig { retrieval, ..PipelineConfig::default() };
             let mut patchecko = Patchecko::new(quick_detector(), cfg);
             patchecko.detector.threshold = 0.0;
-            let scan = patchecko.scan_library(bin, &[]).unwrap();
+            let scan = patchecko.scan_library(bin, &[], &ScanCtx::default()).unwrap();
             assert_eq!(scan.total, bin.function_count(), "{retrieval}");
             assert_eq!(scan.probs.len(), scan.total, "{retrieval}");
             assert!(scan.probs.iter().all(|p| *p == 0.0), "{retrieval}: probs {:?}", scan.probs);
@@ -1151,7 +1130,7 @@ mod tests {
         for retrieval in [Retrieval::Exact, Retrieval::TopK { k: 4 }] {
             let cfg = PipelineConfig { retrieval, ..PipelineConfig::default() };
             let patchecko = Patchecko::new(quick_detector(), cfg);
-            let scan = patchecko.scan_library(&empty, &references).unwrap();
+            let scan = patchecko.scan_library(&empty, &references, &ScanCtx::default()).unwrap();
             assert_eq!(scan.total, 0, "{retrieval}");
             assert!(scan.probs.is_empty(), "{retrieval}");
             assert!(scan.candidates.is_empty(), "{retrieval}");
@@ -1174,7 +1153,7 @@ mod tests {
         let bin = device.image.binary(&truth.library).unwrap();
 
         let exact_p = Patchecko::new(quick_detector(), PipelineConfig::default());
-        let exact = exact_p.scan_library(bin, &references).unwrap();
+        let exact = exact_p.scan_library(bin, &references, &ScanCtx::default()).unwrap();
         let topk_p = Patchecko::new(
             quick_detector(),
             PipelineConfig {
@@ -1182,7 +1161,7 @@ mod tests {
                 ..PipelineConfig::default()
             },
         );
-        let indexed = topk_p.scan_library(bin, &references).unwrap();
+        let indexed = topk_p.scan_library(bin, &references, &ScanCtx::default()).unwrap();
 
         let bits = |v: &[f32]| -> Vec<u32> { v.iter().map(|x| x.to_bits()).collect() };
         assert_eq!(exact.total, indexed.total);

@@ -22,7 +22,7 @@ use fwbin::format::Binary;
 
 use crate::error::ScanError;
 use crate::features::StaticFeatures;
-use crate::pipeline::{FeatureSource, Patchecko};
+use crate::pipeline::{FeatureSource, Patchecko, ScanCtx};
 
 /// Live-entry counter for a streaming working set.
 ///
@@ -137,7 +137,7 @@ impl Patchecko {
     /// most `working_set` units in memory at any point.
     ///
     /// Units are pulled in working-set-sized batches; each unit is
-    /// scanned with [`Patchecko::scan_library_with`] (so `--retrieval
+    /// scanned with [`Patchecko::scan_library`] (so `--retrieval
     /// topk` prunes pairs exactly as in image scans, and the NN forward
     /// passes parallelize on the shared pool), reduced to its
     /// above-threshold [`StreamMatch`]es, and dropped before the next
@@ -176,6 +176,7 @@ impl Patchecko {
         let _span = scope::SpanGuard::enter("stream_scan");
         let working_set = working_set.max(1);
         let tracker = WorkingSet::new();
+        let ctx = ScanCtx { features: source, ..ScanCtx::default() };
         let started = Instant::now();
         let mut iter = units.into_iter();
         let mut matches = Vec::new();
@@ -196,7 +197,7 @@ impl Patchecko {
                 break;
             }
             for (bin, permit) in batch {
-                let scan = self.scan_library_with(&bin, references, source)?;
+                let scan = self.scan_library(&bin, references, &ctx)?;
                 functions += scan.total;
                 for &f in &scan.candidates {
                     matches.push(StreamMatch {

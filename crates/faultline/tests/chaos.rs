@@ -28,7 +28,7 @@ use neural::net::TrainConfig;
 use patchecko_core::detector::{self, Detector, DetectorConfig};
 use patchecko_core::error::ScanError;
 use patchecko_core::pipeline::{
-    live_profiling, Basis, DirectExtraction, FeatureSource, Patchecko, PipelineConfig,
+    Basis, DirectExtraction, FeatureSource, Patchecko, PipelineConfig, ScanCtx,
 };
 use patchecko_core::dynsource::DynProfileSource;
 use patchecko_faultline::{
@@ -343,20 +343,20 @@ proptest! {
         let bin = device.image.binary(&truth.library).unwrap();
         let analyzer = Patchecko::new(shared_detector().clone(), PipelineConfig::default());
 
-        let clean = analyzer
-            .analyze_library_with(bin, entry, Basis::Vulnerable, &DirectExtraction, &live_profiling())
-            .unwrap();
+        let clean =
+            analyzer.analyze_library(bin, entry, Basis::Vulnerable, &ScanCtx::default()).unwrap();
 
         let faulty =
             FaultyFeatureSource::new(DirectExtraction, plan, SourceFaults::transient_errors(3));
-        let mut result = analyzer.analyze_library_with(bin, entry, Basis::Vulnerable, &faulty, &live_profiling());
+        let ctx = ScanCtx { features: &faulty, ..ScanCtx::default() };
+        let mut result = analyzer.analyze_library(bin, entry, Basis::Vulnerable, &ctx);
         let mut retries = 0;
         while let Err(err) = result {
             prop_assert!(matches!(err, ScanError::Injected { .. }), "unexpected error {err}");
             prop_assert!(err.is_transient(), "injected faults must classify transient");
             retries += 1;
             prop_assert!(retries <= 64, "every fault heals, so retries must converge");
-            result = analyzer.analyze_library_with(bin, entry, Basis::Vulnerable, &faulty, &live_profiling());
+            result = analyzer.analyze_library(bin, entry, Basis::Vulnerable, &ctx);
         }
         let healed = result.unwrap();
         prop_assert_eq!(&healed.scan.probs, &clean.scan.probs);

@@ -4,7 +4,7 @@
 //! ## Kernel design
 //!
 //! `matmul` (and the fused [`Matrix::dense_forward`]) uses a register-
-//! accumulator micro-kernel: each 2×[`NR`] output tile is held in
+//! accumulator micro-kernel: each 2×`NR` output tile is held in
 //! vector registers across the entire reduction, so the inner loop is
 //! four `b` vector loads plus two broadcasts feeding 2·`NR`
 //! multiply-adds — no output reload/store per reduction step. `t_matmul`
@@ -25,7 +25,7 @@
 //! [`crate::pool`] (no per-call thread spawning). Parallel tasks are
 //! `'static`, so the inputs are cloned behind `Arc` for the dispatch —
 //! an O(m·k + k·n) copy under an O(m·k·n) multiply, only paid above
-//! [`PAR_THRESHOLD_FLOPS`].
+//! `PAR_THRESHOLD_FLOPS`.
 //!
 //! [`Matrix::dense_forward`] is the fused dense-layer kernel: GEMM, bias
 //! add, and optional ReLU in one pass, applying the epilogue per row

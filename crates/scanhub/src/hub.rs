@@ -7,11 +7,13 @@
 //! for disassembly and feature extraction once and every later scan (new
 //! CVE, other basis, re-audit after reboot via the on-disk layer) reuses
 //! the artifacts. The dynamic stage routes through the store's dynamic
-//! lane the same way ([`ScanHub::dyn_source`]): environment sets and
-//! per-function dynamic profiles are cached by content, so a warm
-//! re-audit performs zero VM executions. Scan entry points return typed [`ScanError`]s rather
-//! than panicking; batch scheduling retries transient failures per the
-//! hub's [`RetryPolicy`].
+//! lane the same way: environment sets and per-function dynamic profiles
+//! are cached by content, so a warm re-audit performs zero VM executions.
+//! Each entry point runs the pipeline over
+//! [`ScanCtx::over`](patchecko_core::pipeline::ScanCtx::over) a tenant
+//! view of the store (`""` is the base namespace). Scan entry points
+//! return typed [`ScanError`]s rather than panicking; batch scheduling
+//! retries transient failures per the hub's [`RetryPolicy`].
 
 use crate::namespace::TenantView;
 use crate::schedule::{self, FaultHook, JobRecord, JobSpec, RetryPolicy};
@@ -19,12 +21,10 @@ use crate::store::{ArtifactStore, CacheStats};
 use corpus::vulndb::{DbEntry, VulnDb};
 use fwbin::format::Binary;
 use fwbin::FirmwareImage;
-use patchecko_core::cancel::CancelToken;
 use patchecko_core::differential::DifferentialConfig;
-use patchecko_core::dynsource::DynProfileSource;
 use patchecko_core::error::ScanError;
 use patchecko_core::features::StaticFeatures;
-use patchecko_core::pipeline::{Basis, CveAnalysis, ImageAnalysis, Patchecko, StaticScan};
+use patchecko_core::pipeline::{Basis, ImageAnalysis, Patchecko, ScanCtx, StaticScan};
 use patchecko_core::report::AuditReport;
 use patchecko_core::stream::{StreamScanReport, WorkingSet};
 use scope::{MetricsRegistry, TelemetrySnapshot};
@@ -38,7 +38,7 @@ pub struct ScanHub {
     /// The trained analyzer (detector + pipeline settings).
     pub analyzer: Patchecko,
     // Behind `Arc` so the store can also serve as the pipeline's shared
-    // `Arc<dyn DynProfileSource>` (see [`ScanHub::dyn_source`]).
+    // `Arc<dyn DynProfileSource>` (see `ScanCtx::over`).
     store: Arc<ArtifactStore>,
     cache_dir: Option<PathBuf>,
     retry: RetryPolicy,
@@ -143,13 +143,6 @@ impl ScanHub {
         &self.store
     }
 
-    /// The store viewed as the pipeline's dynamic-profile source: cached
-    /// environment sets and profiles, live fuzzing/execution on miss.
-    /// This is what makes a warm re-audit perform zero VM executions.
-    pub fn dyn_source(&self) -> Arc<dyn DynProfileSource> {
-        Arc::clone(&self.store) as Arc<dyn DynProfileSource>
-    }
-
     /// Current cache counters.
     pub fn stats(&self) -> CacheStats {
         self.store.stats()
@@ -190,7 +183,7 @@ impl ScanHub {
         basis: Basis,
     ) -> Result<StaticScan, ScanError> {
         let references = Patchecko::reference_feature_set_with(entry, basis, &*self.store)?;
-        self.analyzer.scan_library_with(bin, &references, &*self.store)
+        self.analyzer.scan_library(bin, &references, &ScanCtx::over(&self.store))
     }
 
     /// Ingest a stream of compiled units into the cache lanes (features
@@ -259,44 +252,24 @@ impl ScanHub {
         self.analyzer.scan_stream_with(units, references, working_set, &*self.store)
     }
 
-    /// Full hybrid analysis of one library through the cache.
-    ///
-    /// # Errors
-    /// Returns static-stage failures; dynamic-stage trouble degrades the
-    /// analysis instead (see [`patchecko_core::pipeline::Confidence`]).
-    pub fn analyze_library(
-        &self,
-        bin: &Binary,
-        entry: &DbEntry,
-        basis: Basis,
-    ) -> Result<CveAnalysis, ScanError> {
-        self.analyzer.analyze_library_with(bin, entry, basis, &*self.store, &self.dyn_source())
-    }
-
-    /// Full hybrid analysis of a whole image through the cache.
-    ///
-    /// # Errors
-    /// Returns static-stage failures for any library in the image.
-    pub fn scan_image(
-        &self,
-        image: &FirmwareImage,
-        entry: &DbEntry,
-        basis: Basis,
-    ) -> Result<ImageAnalysis, ScanError> {
-        self.analyzer.analyze_image_with(image, entry, basis, &*self.store, &self.dyn_source())
-    }
-
     /// `tenant`'s view of this hub's store: the full feature/dyn-profile
     /// surface with every cache key relocated into the tenant's
-    /// namespace. The empty tenant is the identity view.
+    /// namespace. The empty tenant is the identity view: the same keys,
+    /// counters and cache files as the store itself. A service that needs
+    /// more control than the two methods below (a deadline, a substitute
+    /// profile source) builds its own `ScanCtx::over(&Arc::new(view))`
+    /// and calls the pipeline directly.
     pub fn tenant_view(&self, tenant: &str) -> TenantView {
         TenantView::new(Arc::clone(&self.store), tenant)
     }
 
-    /// [`ScanHub::scan_image`] through `tenant`'s cache namespace.
+    /// Full hybrid analysis of a whole image for one CVE through
+    /// `tenant`'s cache namespace (`""` for the base namespace).
     ///
     /// # Errors
-    /// Returns static-stage failures for any library in the image.
+    /// Returns static-stage failures for any library in the image;
+    /// dynamic-stage trouble degrades the analysis instead (see
+    /// [`patchecko_core::pipeline::Confidence`]).
     pub fn scan_image_tenant(
         &self,
         image: &FirmwareImage,
@@ -304,38 +277,18 @@ impl ScanHub {
         basis: Basis,
         tenant: &str,
     ) -> Result<ImageAnalysis, ScanError> {
-        self.scan_image_tenant_ctl(image, entry, basis, tenant, None, &CancelToken::unbounded())
-    }
-
-    /// [`ScanHub::scan_image_tenant`] under service control: an optional
-    /// dynamic-profile source override (the scan daemon's circuit breaker
-    /// substitutes a refusing source to force static-only degradation)
-    /// and a cancellation token checked between pipeline stages.
-    ///
-    /// # Errors
-    /// [`ScanError::DeadlineExceeded`] on token expiry; otherwise as for
-    /// [`ScanHub::scan_image_tenant`].
-    pub fn scan_image_tenant_ctl(
-        &self,
-        image: &FirmwareImage,
-        entry: &DbEntry,
-        basis: Basis,
-        tenant: &str,
-        dynsrc_override: Option<Arc<dyn DynProfileSource>>,
-        cancel: &CancelToken,
-    ) -> Result<ImageAnalysis, ScanError> {
         let view = Arc::new(self.tenant_view(tenant));
-        let dynsrc =
-            dynsrc_override.unwrap_or_else(|| Arc::clone(&view) as Arc<dyn DynProfileSource>);
-        self.analyzer.analyze_image_ctl(image, entry, basis, &*view, &dynsrc, cancel)
+        self.analyzer.analyze_image(image, entry, basis, &ScanCtx::over(&view))
     }
 
-    /// [`ScanHub::audit`] through `tenant`'s cache namespace: the same
-    /// shared warm store serves the request, but every artifact the audit
-    /// touches lives under the tenant's keys.
+    /// Whole-image audit against the vulnerability database through
+    /// `tenant`'s cache namespace (`""` for the base namespace) —
+    /// [`patchecko_core::eval::audit_image`] with every static feature and
+    /// dynamic profile served by the store, under the tenant's keys.
     ///
     /// # Errors
-    /// As for [`ScanHub::audit`].
+    /// Returns transient failures (the caller may retry); permanent
+    /// per-CVE failures are recorded inside the report instead.
     pub fn audit_tenant(
         &self,
         db: &VulnDb,
@@ -343,75 +296,19 @@ impl ScanHub {
         diff: &DifferentialConfig,
         tenant: &str,
     ) -> Result<AuditReport, ScanError> {
-        self.audit_tenant_ctl(db, image, diff, tenant, None, &CancelToken::unbounded())
-    }
-
-    /// [`ScanHub::audit_tenant`] under service control: an optional
-    /// dynamic-profile source override (circuit breaker → static-only
-    /// degraded findings) and a cancellation token checked per CVE and
-    /// between per-library stages. The tenant's *static* cache namespace
-    /// is served normally either way, so a breaker-tripped tenant still
-    /// gets warm static artifacts and its dynamic lane is left untouched
-    /// rather than poisoned.
-    ///
-    /// # Errors
-    /// [`ScanError::DeadlineExceeded`] on token expiry; otherwise as for
-    /// [`ScanHub::audit_tenant`].
-    pub fn audit_tenant_ctl(
-        &self,
-        db: &VulnDb,
-        image: &FirmwareImage,
-        diff: &DifferentialConfig,
-        tenant: &str,
-        dynsrc_override: Option<Arc<dyn DynProfileSource>>,
-        cancel: &CancelToken,
-    ) -> Result<AuditReport, ScanError> {
         let view = Arc::new(self.tenant_view(tenant));
-        let dynsrc =
-            dynsrc_override.unwrap_or_else(|| Arc::clone(&view) as Arc<dyn DynProfileSource>);
-        patchecko_core::eval::audit_image_ctl(
-            &self.analyzer,
-            db,
-            image,
-            diff,
-            &*view,
-            &dynsrc,
-            cancel,
-        )
+        patchecko_core::eval::audit_image(&self.analyzer, db, image, diff, &ScanCtx::over(&view))
     }
 
-    /// Whole-image audit against the vulnerability database through the
-    /// cache — [`patchecko_core::eval::audit_image`] with every static
-    /// feature served by the store.
+    /// [`ScanHub::audit_tenant`] in the base namespace, with the report's
+    /// `telemetry` field filled by the movement of this hub's registry
+    /// over the audit (merged with the global registry's movement — stage
+    /// spans — when the hub uses a private registry). Plain
+    /// [`ScanHub::audit_tenant`] leaves telemetry `None`, keeping
+    /// warm/cold report bytes identical for callers that diff them.
     ///
     /// # Errors
-    /// Returns transient failures (the caller may retry); permanent
-    /// per-CVE failures are recorded inside the report instead.
-    pub fn audit(
-        &self,
-        db: &VulnDb,
-        image: &FirmwareImage,
-        diff: &DifferentialConfig,
-    ) -> Result<AuditReport, ScanError> {
-        patchecko_core::eval::audit_image_with(
-            &self.analyzer,
-            db,
-            image,
-            diff,
-            &*self.store,
-            &self.dyn_source(),
-        )
-    }
-
-    /// [`ScanHub::audit`], with the report's `telemetry` field filled by
-    /// the movement of this hub's registry over the audit (merged with
-    /// the global registry's movement — stage spans — when the hub uses a
-    /// private registry). Plain [`ScanHub::audit`] leaves telemetry
-    /// `None`, keeping warm/cold report bytes identical for callers that
-    /// diff them.
-    ///
-    /// # Errors
-    /// As for [`ScanHub::audit`].
+    /// As for [`ScanHub::audit_tenant`].
     pub fn audit_with_telemetry(
         &self,
         db: &VulnDb,
@@ -419,7 +316,7 @@ impl ScanHub {
         diff: &DifferentialConfig,
     ) -> Result<AuditReport, ScanError> {
         let before = self.telemetry_snapshot();
-        let mut report = self.audit(db, image, diff)?;
+        let mut report = self.audit_tenant(db, image, diff, "")?;
         report.telemetry = Some(self.telemetry_snapshot().since(&before));
         Ok(report)
     }
@@ -458,15 +355,8 @@ impl ScanHub {
         let before = self.stats();
         let telemetry_before = self.telemetry_snapshot();
         let threads = self.analyzer.config.effective_threads();
-        let records = schedule::run_jobs_with(
-            self,
-            images,
-            db,
-            jobs,
-            threads,
-            self.retry,
-            self.fault_hook.clone(),
-        );
+        let hook = self.fault_hook.clone();
+        let records = schedule::run_jobs(self, images, db, jobs, threads, self.retry, hook);
         let seconds = started.elapsed().as_secs_f64();
         let functions: usize = images.iter().map(|i| i.total_functions()).sum();
         BatchReport {

@@ -198,7 +198,7 @@ impl ArtifactKey {
     }
 }
 
-/// Cache-namespace salt for a tenant id: a domain-separated [`Fnv2`]
+/// Cache-namespace salt for a tenant id: a domain-separated `Fnv2`
 /// digest of the tenant name, with the empty tenant mapped to the zero
 /// salt so anonymous (CLI, single-tenant) callers address the base
 /// namespace unchanged. Applied via [`ArtifactKey::namespaced`].

@@ -69,6 +69,6 @@ pub use hub::{BatchReport, ScanHub};
 pub use key::{tenant_salt, ArtifactKey, SCHEMA_VERSION};
 pub use namespace::TenantView;
 pub use schedule::{
-    full_schedule, run_jobs, run_jobs_with, FaultHook, JobOutcome, JobRecord, JobSpec, RetryPolicy,
+    full_schedule, run_jobs, FaultHook, JobOutcome, JobRecord, JobSpec, RetryPolicy,
 };
 pub use store::{Artifact, ArtifactStore, CacheStats, CACHE_FILE, DYN_CACHE_FILE, SIG_INDEX_FILE};

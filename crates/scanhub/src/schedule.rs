@@ -189,7 +189,7 @@ fn run_attempt(
         .get(spec.image)
         .ok_or(ScanError::ImageOutOfRange { index: spec.image, images: images.len() })?;
     let entry = db.get(&spec.cve).ok_or_else(|| ScanError::UnknownCve(spec.cve.clone()))?;
-    let analysis = hub.scan_image(image, entry, spec.basis)?;
+    let analysis = hub.scan_image_tenant(image, entry, spec.basis, "")?;
     Ok(JobOutcome::Completed {
         candidates: analysis.analyses.iter().map(|a| a.scan.candidates.len()).sum(),
         validated: analysis.analyses.iter().map(|a| a.dynamic.validated.len()).sum(),
@@ -293,21 +293,12 @@ fn timed(
 
 /// Run `jobs` across up to `threads` shared-pool workers, returning
 /// records in job order. `threads == 1` runs inline (no dispatch);
-/// individual failures are recorded, never propagated. The hub, images,
-/// and database arrive behind `Arc` because pool tasks are `'static` —
-/// each job holds its own handle for the duration of the batch.
+/// transient failures are retried per `retry`, and individual failures
+/// are recorded, never propagated. `hook` is the optional pre-attempt
+/// fault seam ([`FaultHook`]). The hub, images, and database arrive
+/// behind `Arc` because pool tasks are `'static` — each job holds its
+/// own handle for the duration of the batch.
 pub fn run_jobs(
-    hub: &Arc<ScanHub>,
-    images: &Arc<Vec<FirmwareImage>>,
-    db: &Arc<VulnDb>,
-    jobs: &[JobSpec],
-    threads: usize,
-) -> Vec<JobRecord> {
-    run_jobs_with(hub, images, db, jobs, threads, RetryPolicy::default(), None)
-}
-
-/// [`run_jobs`] with an explicit retry policy and optional fault hook.
-pub fn run_jobs_with(
     hub: &Arc<ScanHub>,
     images: &Arc<Vec<FirmwareImage>>,
     db: &Arc<VulnDb>,

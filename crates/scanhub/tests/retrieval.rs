@@ -21,11 +21,11 @@ use fwlang::gen::Generator;
 use neural::net::TrainConfig;
 use patchecko_core::detector::{self, Detector, DetectorConfig};
 use patchecko_core::features::StaticFeatures;
-use patchecko_core::pipeline::{Basis, Patchecko, PipelineConfig};
+use patchecko_core::pipeline::{Basis, Patchecko, PipelineConfig, ScanCtx};
 use patchecko_core::retrieval::{Retrieval, DEFAULT_TOP_K};
 use patchecko_scanhub::{ArtifactStore, ScanHub};
 use proptest::prelude::*;
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 fn shared_detector() -> &'static Detector {
     static DET: OnceLock<Detector> = OnceLock::new();
@@ -77,13 +77,14 @@ proptest! {
         let refs = Patchecko::reference_feature_set(entry, Basis::Vulnerable).unwrap();
         let exact = analyzer(Retrieval::Exact);
         let topk = analyzer(Retrieval::TopK { k: refs.len() });
-        let store = ArtifactStore::new();
+        let store = Arc::new(ArtifactStore::new());
+        let ctx = ScanCtx::over(&store);
         for arch in Arch::ALL {
             let lib = Generator::new(seed).library_sized("libprop", n);
             let bin = fwbin::compile_library(&lib, arch, OptLevel::O1).unwrap();
-            let e = exact.scan_library_with(&bin, &refs, &store).unwrap();
-            let cold = topk.scan_library_with(&bin, &refs, &store).unwrap();
-            let warm = topk.scan_library_with(&bin, &refs, &store).unwrap();
+            let e = exact.scan_library(&bin, &refs, &ctx).unwrap();
+            let cold = topk.scan_library(&bin, &refs, &ctx).unwrap();
+            let warm = topk.scan_library(&bin, &refs, &ctx).unwrap();
             for t in [&cold, &warm] {
                 prop_assert_eq!(bits(&e.probs), bits(&t.probs));
                 prop_assert_eq!(&e.candidates, &t.candidates);
@@ -124,8 +125,8 @@ fn default_k_detection_recall_is_at_least_99_percent_across_isas_and_opts() {
             for arch in Arch::ALL {
                 for opt in OptLevel::ALL {
                     let bin = fwbin::compile_library(&lib, arch, opt).unwrap();
-                    let e = exact.scan_library(&bin, &pool).unwrap();
-                    let t = topk.scan_library(&bin, &pool).unwrap();
+                    let e = exact.scan_library(&bin, &pool, &ScanCtx::default()).unwrap();
+                    let t = topk.scan_library(&bin, &pool, &ScanCtx::default()).unwrap();
                     for f in 0..e.total {
                         total += 1;
                         let ef = e.candidates.contains(&f);

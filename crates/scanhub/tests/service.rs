@@ -8,9 +8,9 @@ use neural::net::TrainConfig;
 use patchecko_core::detector::{self, Detector, DetectorConfig};
 use patchecko_core::differential::DifferentialConfig;
 use patchecko_core::error::ScanError;
-use patchecko_core::pipeline::{Basis, Patchecko, PipelineConfig};
+use patchecko_core::pipeline::{Basis, Patchecko, PipelineConfig, ScanCtx};
 use patchecko_scanhub::{full_schedule, JobOutcome, JobSpec, ScanHub};
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 fn shared_detector() -> &'static Detector {
     static DET: OnceLock<Detector> = OnceLock::new();
@@ -60,12 +60,12 @@ fn warm_cache_reaudit_extracts_nothing() {
     let image = &shared_device().image;
     let diff = DifferentialConfig::default();
 
-    let cold = hub.audit(&db, image, &diff).unwrap();
+    let cold = hub.audit_tenant(&db, image, &diff, "").unwrap();
     let after_cold = hub.stats();
     assert!(after_cold.extractions > 0, "cold audit fills the cache");
     assert_eq!(after_cold.misses, after_cold.extractions);
 
-    let warm = hub.audit(&db, image, &diff).unwrap();
+    let warm = hub.audit_tenant(&db, image, &diff, "").unwrap();
     let delta = hub.stats().since(&after_cold);
     assert_eq!(delta.extractions, 0, "warm re-audit must not extract");
     assert_eq!(delta.misses, 0, "warm re-audit must not miss");
@@ -89,8 +89,10 @@ fn cached_scan_matches_direct_pipeline() {
     let truth = device.truth_for("CVE-2018-9412").unwrap();
     let bin = device.image.binary(&truth.library).unwrap();
 
-    let cached = hub.analyze_library(bin, entry, Basis::Vulnerable).unwrap();
-    let direct = hub.analyzer.analyze_library(bin, entry, Basis::Vulnerable).unwrap();
+    let view = Arc::new(hub.tenant_view(""));
+    let cached = hub.analyzer.analyze_library(bin, entry, Basis::Vulnerable, &ScanCtx::over(&view));
+    let direct = hub.analyzer.analyze_library(bin, entry, Basis::Vulnerable, &ScanCtx::default());
+    let (cached, direct) = (cached.unwrap(), direct.unwrap());
     assert_eq!(cached.scan.probs, direct.scan.probs);
     assert_eq!(cached.scan.candidates, direct.scan.candidates);
     assert_eq!(cached.dynamic.validated, direct.dynamic.validated);

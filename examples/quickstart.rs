@@ -12,7 +12,7 @@
 //! and rank the survivors by dynamic similarity.
 
 use patchecko::core::detector::{self, DetectorConfig};
-use patchecko::core::pipeline::{Basis, Patchecko, PipelineConfig};
+use patchecko::core::pipeline::{Basis, Patchecko, PipelineConfig, ScanCtx};
 use patchecko::core::similarity;
 use patchecko::corpus;
 use patchecko::corpus::dataset1::Dataset1Config;
@@ -61,7 +61,9 @@ fn main() {
     // 3. The hybrid pipeline.
     println!("[3/4] running the hybrid analysis for CVE-2018-9412...");
     let patchecko = Patchecko::new(det, PipelineConfig::default());
-    let analysis = patchecko.analyze_library(target, entry, Basis::Vulnerable).expect("scan failed");
+    let analysis = patchecko
+        .analyze_library(target, entry, Basis::Vulnerable, &ScanCtx::default())
+        .expect("scan failed");
     println!(
         "      static stage: {} of {} functions flagged in {:.3}s",
         analysis.scan.candidates.len(),

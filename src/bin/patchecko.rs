@@ -34,8 +34,9 @@
 //! (load it in `chrome://tracing` or Perfetto).
 
 use patchecko::core::detector::{self, Detector, DetectorConfig};
-use patchecko::core::differential::{self, DifferentialConfig};
-use patchecko::core::pipeline::{Basis, Patchecko, PipelineConfig};
+use patchecko::core::differential::DifferentialConfig;
+use patchecko::core::eval;
+use patchecko::core::pipeline::{Basis, Patchecko, PipelineConfig, ScanCtx};
 use patchecko::corpus::{self, dataset1::Dataset1Config};
 use patchecko::fwbin::{Binary, FirmwareImage};
 use patchecko::fwlang::pretty;
@@ -429,7 +430,8 @@ fn cmd_scan(flags: &HashMap<String, String>) -> Result<(), String> {
         image.binaries.len(),
         image.total_functions()
     );
-    let result = hub.scan_image(&image, entry, Basis::Vulnerable).map_err(|e| e.to_string())?;
+    let result =
+        hub.scan_image_tenant(&image, entry, Basis::Vulnerable, "").map_err(|e| e.to_string())?;
     let mut any = false;
     for a in &result.analyses {
         if a.dynamic.ranking.is_empty() {
@@ -458,36 +460,15 @@ fn cmd_patch_check(flags: &HashMap<String, String>) -> Result<(), String> {
     let db = corpus::build_vulndb(0, 1);
     let entry = db.get(cve).ok_or(format!("unknown CVE {cve}"))?;
 
-    let va = analyzer.analyze_image(&image, entry, Basis::Vulnerable).map_err(|e| e.to_string())?;
-    let pa = analyzer.analyze_image(&image, entry, Basis::Patched).map_err(|e| e.to_string())?;
-    // Gather candidates per library from both bases.
-    let mut by_lib: HashMap<usize, Vec<usize>> = HashMap::new();
-    for r in va.best.iter().chain(pa.best.iter()) {
-        by_lib.entry(r.library_index).or_default().push(r.function_index);
-    }
-    if by_lib.is_empty() {
+    // Exactly one finding of `audit`: same candidates, same arbitration.
+    let diff_cfg = DifferentialConfig::default();
+    let finding = eval::audit_cve(&analyzer, entry, &image, &diff_cfg, &ScanCtx::default())
+        .map_err(|e| e.to_string())?;
+    let (Some(target), Some(v)) = (finding.located, finding.verdict) else {
         println!("{cve}: target not found in the image");
         return Ok(());
-    }
-    let diff_cfg = DifferentialConfig::default();
-    let mut best: Option<(String, usize, differential::PatchVerdict)> = None;
-    for (li, candidates) in by_lib {
-        let bin = &image.binaries[li];
-        if let Some((idx, v)) =
-            differential::detect_patch_best(&analyzer, entry, bin, &candidates, &diff_cfg)
-                .map_err(|e| e.to_string())?
-        {
-            match &best {
-                Some((_, _, b)) if b.margin.abs() >= v.margin.abs() => {}
-                _ => best = Some((bin.lib_name.clone(), idx, v)),
-            }
-        }
-    }
-    let Some((lib, idx, v)) = best else {
-        println!("{cve}: differential engine could not evaluate any candidate");
-        return Ok(());
     };
-    println!("{cve}: target {lib}:{idx}");
+    println!("{cve}: target {target}");
     println!(
         "  dynamic distance: {:.1} (vulnerable ref) vs {:.1} (patched ref)",
         v.dyn_dist_vulnerable, v.dyn_dist_patched

@@ -2,6 +2,7 @@
 //! operator workflow over on-disk artifacts (model checkpoint, `.fwb`
 //! image directory, Markdown report).
 
+use patchecko::core::{AuditReport, AuditStatus};
 use std::path::PathBuf;
 use std::process::Command;
 
@@ -208,21 +209,75 @@ fn train_build_scan_roundtrip() {
     assert!(text.contains("best match: libstagefright:"), "scan output: {text}");
 
     // Patch-check the same CVE: vulnerable on Android Things.
+    let patch_check = |image: &PathBuf, cve: &str| {
+        let out = bin()
+            .args([
+                "patch-check",
+                "--model",
+                model.to_str().unwrap(),
+                "--image",
+                image.to_str().unwrap(),
+                "--cve",
+                cve,
+            ])
+            .output()
+            .unwrap();
+        assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+        String::from_utf8_lossy(&out.stdout).into_owned()
+    };
+    let text = patch_check(&image, "CVE-2018-9412");
+    assert!(text.contains("STILL VULNERABLE"), "patch-check output: {text}");
+
+    // `patch-check` is one finding of `audit`: the same target and the
+    // same status, and the same output on every run. On Pixel 2 XL the
+    // both-basis matches of CVE-2018-9420 and CVE-2018-9491 land in two
+    // libraries each, so the arbitration between libraries is what is
+    // under test there.
+    let pixel = dir.join("pixel");
     let out = bin()
         .args([
-            "patch-check",
-            "--model",
-            model.to_str().unwrap(),
-            "--image",
-            image.to_str().unwrap(),
-            "--cve",
-            "CVE-2018-9412",
+            "build-image",
+            "--device",
+            "pixel2xl",
+            "--out",
+            pixel.to_str().unwrap(),
+            "--scale",
+            "0.04",
         ])
         .output()
         .unwrap();
-    assert!(out.status.success());
-    let text = String::from_utf8_lossy(&out.stdout);
-    assert!(text.contains("STILL VULNERABLE"), "patch-check output: {text}");
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    let json = dir.join("audit.json");
+    let out = bin()
+        .args([
+            "audit",
+            "--model",
+            model.to_str().unwrap(),
+            "--image",
+            pixel.to_str().unwrap(),
+            "--json",
+            json.to_str().unwrap(),
+        ])
+        .output()
+        .unwrap();
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    let report: AuditReport =
+        serde_json::from_str(&std::fs::read_to_string(&json).unwrap()).unwrap();
+    for cve in ["CVE-2018-9412", "CVE-2018-9420", "CVE-2018-9491"] {
+        let finding = report.findings.iter().find(|f| f.cve == cve).unwrap();
+        let text = patch_check(&pixel, cve);
+        let target = text.lines().next().and_then(|l| l.split_once(": target ")).map(|(_, t)| t);
+        assert_eq!(target, finding.located.as_deref(), "{cve}: {text}");
+        let status = if text.contains("STILL VULNERABLE") {
+            AuditStatus::Vulnerable
+        } else if text.contains("PATCHED") {
+            AuditStatus::Patched
+        } else {
+            AuditStatus::NotFound
+        };
+        assert_eq!(status, finding.status, "{cve}: {text}");
+        assert_eq!(patch_check(&pixel, cve), text, "{cve}: patch-check must be deterministic");
+    }
 
     let _ = std::fs::remove_dir_all(&dir);
 }

@@ -4,7 +4,7 @@
 use patchecko::core::detector::{self, Detector, DetectorConfig};
 use patchecko::core::differential::{self, DifferentialConfig};
 use patchecko::core::eval;
-use patchecko::core::pipeline::{Basis, Patchecko, PipelineConfig};
+use patchecko::core::pipeline::{Basis, Patchecko, PipelineConfig, ScanCtx};
 use patchecko::core::similarity;
 use patchecko::corpus;
 use patchecko::corpus::dataset1::Dataset1Config;
@@ -55,7 +55,7 @@ fn flagship_hybrid_detection_ranks_target_top3() {
     let truth = device.truth_for("CVE-2018-9412").unwrap();
     let bin = device.image.binary(&truth.library).unwrap();
 
-    let analysis = p.analyze_library(bin, entry, Basis::Vulnerable).unwrap();
+    let analysis = p.analyze_library(bin, entry, Basis::Vulnerable, &ScanCtx::default()).unwrap();
     assert!(analysis.scan.candidates.contains(&truth.function_index), "static stage keeps target");
     assert!(analysis.dynamic.validated.contains(&truth.function_index), "target survives envs");
     let rank = similarity::rank_of(&analysis.dynamic.ranking, truth.function_index).unwrap();
@@ -105,12 +105,12 @@ fn heavy_patch_misses_vulnerable_basis_but_not_patched_basis() {
     assert!(truth.patched);
     let bin = device.image.binary(&truth.library).unwrap();
 
-    let va = p.analyze_library(bin, entry, Basis::Vulnerable).unwrap();
+    let va = p.analyze_library(bin, entry, Basis::Vulnerable, &ScanCtx::default()).unwrap();
     assert!(
         !va.scan.candidates.contains(&truth.function_index),
         "vulnerable basis misses the heavily-patched target (Table VI row)"
     );
-    let pa = p.analyze_library(bin, entry, Basis::Patched).unwrap();
+    let pa = p.analyze_library(bin, entry, Basis::Patched, &ScanCtx::default()).unwrap();
     assert!(
         pa.scan.candidates.contains(&truth.function_index),
         "patched basis finds it (Table VII row)"
@@ -134,6 +134,7 @@ fn differential_engine_memmove_signature() {
         bin,
         truth.function_index,
         &DifferentialConfig::default(),
+        &ScanCtx::default(),
     )
     .unwrap();
     assert!(v.signature.vuln_imports.contains(&"memmove".to_string()));
@@ -149,8 +150,8 @@ fn detector_checkpoint_roundtrips_through_json() {
     let back: Detector = serde_json::from_str(&json).unwrap();
     // Same predictions after reload.
     let entry = shared_db().get("CVE-2018-9451").unwrap();
-    let f = Patchecko::reference_features(entry, Basis::Vulnerable).unwrap();
-    let g = Patchecko::reference_features(entry, Basis::Patched).unwrap();
+    let f = Patchecko::reference_features(entry, Basis::Vulnerable, &ScanCtx::default()).unwrap();
+    let g = Patchecko::reference_features(entry, Basis::Patched, &ScanCtx::default()).unwrap();
     assert_eq!(p.detector.similarity(&f, &g), back.similarity(&f, &g));
 }
 
@@ -167,6 +168,7 @@ fn whole_image_audit_matches_ground_truth() {
         db,
         &device.image,
         &patchecko::core::DifferentialConfig::default(),
+        &ScanCtx::default(),
     )
     .unwrap();
     assert_eq!(report.findings.len(), 25);
@@ -196,7 +198,8 @@ fn image_analysis_locates_best_match_in_right_library() {
     let device = shared_device();
     let entry = shared_db().get("CVE-2018-9412").unwrap();
     let truth = device.truth_for("CVE-2018-9412").unwrap();
-    let result = p.analyze_image(&device.image, entry, Basis::Vulnerable).unwrap();
+    let result =
+        p.analyze_image(&device.image, entry, Basis::Vulnerable, &ScanCtx::default()).unwrap();
     assert_eq!(result.analyses.len(), device.image.binaries.len());
     let best = result.best.expect("flagship is present");
     assert_eq!(best.library, truth.library, "best match lands in the right library");
